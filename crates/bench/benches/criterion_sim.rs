@@ -7,13 +7,47 @@
 //! LRU, SRRIP and ACIC organizations at 1 M instructions. Scale with
 //! `ACIC_BENCH_INSTRUCTIONS`.
 
-use acic_bench::baseline::{run_batched_devirt, run_naive_boxed};
 use acic_cache::policy::PolicyKind;
+use acic_cache::{AccessCtx, CacheGeometry, SetAssocCache};
 use acic_sim::{functional, IcacheOrg, SimConfig, Simulator};
-use acic_trace::VecTrace;
+use acic_trace::{BlockRuns, TraceSource, VecTrace};
 use acic_workloads::{AppProfile, SyntheticWorkload};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
+
+/// Naive reference loop: boxed-policy tag store probed once per
+/// instruction. This is the pre-optimization hot path kept alive so
+/// speedups are measured, not asserted.
+fn run_naive_boxed<W: TraceSource>(kind: PolicyKind, workload: &W) -> u64 {
+    let geom = CacheGeometry::l1i_32k();
+    let mut cache = SetAssocCache::new(geom, kind.build_boxed(geom));
+    let mut i = 0u64;
+    for instr in workload.iter() {
+        i += 1;
+        let ctx = AccessCtx::demand(instr.pc().block(), i);
+        if !cache.access(&ctx) {
+            cache.fill(&ctx);
+        }
+    }
+    cache.stats().demand_misses
+}
+
+/// Optimized counterpart of [`run_naive_boxed`]: enum-dispatched
+/// policy, one probe per block run. Same tag store, same workload —
+/// the measured delta is exactly the devirtualize+batch change.
+fn run_batched_devirt<W: TraceSource>(kind: PolicyKind, workload: &W) -> u64 {
+    let geom = CacheGeometry::l1i_32k();
+    let mut cache = SetAssocCache::new(geom, kind.build(geom));
+    let mut i = 0u64;
+    for run in BlockRuns::new(workload.iter()) {
+        i += 1;
+        let ctx = AccessCtx::demand(run.block, i);
+        if !cache.access(&ctx) {
+            cache.fill(&ctx);
+        }
+    }
+    cache.stats().demand_misses
+}
 
 fn bench_throughput(c: &mut Criterion) {
     let n: u64 = std::env::var("ACIC_BENCH_INSTRUCTIONS")

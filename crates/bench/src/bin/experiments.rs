@@ -8,9 +8,7 @@
 //! cargo run --release -p acic-bench --bin experiments --only fig13_admit_rate
 //! cargo run --release -p acic-bench --bin experiments --smoke     # tiny grid, all figures
 //! cargo run --release -p acic-bench --bin experiments fig1        # substring filter
-//! cargo run --release -p acic-bench --bin experiments --bench-delta  # perf vs baseline
 //! cargo run --release -p acic-bench --bin experiments -- --window-threads 4 fig11_mpki
-//! cargo run --release -p acic-bench --bin experiments -- --window-smoke
 //! ```
 //!
 //! `--only` matches one figure by exact name (and fails loudly on a
@@ -28,8 +26,7 @@
 //! The two modes run different sampling structures, so their results
 //! journal under different `--results` keys; the worker count itself
 //! is not part of the key (windowed output is bit-identical across
-//! worker counts). `--window-smoke` runs the 1-worker-vs-2-worker
-//! bit-identity check CI relies on and exits non-zero on divergence.
+//! worker counts).
 //!
 //! `--profile-cell <figure>:<cell-substring>` runs the named figure
 //! until the first grid cell whose label (`config <c> '<org>' x spec
@@ -40,13 +37,6 @@
 //! interesting cell is a sliver of the profile. It cannot be combined
 //! with `--only` (it selects its own figure) or `--supervise` (the
 //! profiler must see the simulation in this process).
-//!
-//! `--bench-delta` skips the figures entirely: it re-measures the
-//! committed `BENCH_baseline.json` throughput cells and prints a JSON
-//! report of percentage deltas, exiting non-zero on a missing/
-//! malformed baseline or a non-finite delta. Combined with `--smoke`
-//! it shrinks the budget to a CI-sized tripwire (deltas then are
-//! noise; the job checks the harness, not the numbers).
 //!
 //! Record/replay and resume:
 //!
@@ -227,11 +217,9 @@ struct Cli {
     list: bool,
     trace_smoke: bool,
     results_smoke: bool,
-    window_smoke: bool,
     dse_smoke: bool,
     supervise_smoke: bool,
     dse: bool,
-    bench_delta: bool,
     smoke: bool,
     fail_fast: bool,
     supervise: bool,
@@ -306,11 +294,9 @@ fn parse_cli(mut args: Vec<String>) -> Result<Cli, String> {
         list: take_switch(&mut args, "--list"),
         trace_smoke: take_switch(&mut args, "--trace-smoke"),
         results_smoke: take_switch(&mut args, "--results-smoke"),
-        window_smoke: take_switch(&mut args, "--window-smoke"),
         dse_smoke: take_switch(&mut args, "--dse-smoke"),
         supervise_smoke: take_switch(&mut args, "--supervise-smoke"),
         dse,
-        bench_delta: take_switch(&mut args, "--bench-delta"),
         smoke: take_switch(&mut args, "--smoke"),
         fail_fast: take_switch(&mut args, "--fail-fast"),
         supervise,
@@ -473,17 +459,6 @@ fn main() {
         return;
     }
 
-    if cli.window_smoke {
-        match acic_bench::window_smoke::window_smoke() {
-            Ok(report) => println!("{report}"),
-            Err(e) => {
-                eprintln!("window-smoke failed: {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-
     if cli.dse_smoke {
         match acic_bench::dse::dse_smoke() {
             Ok(report) => println!("{report}"),
@@ -570,17 +545,6 @@ fn main() {
             // without meeting its target key.
             eprintln!("run-cell target not found in the DSE sweep");
             std::process::exit(3);
-        }
-        return;
-    }
-
-    if cli.bench_delta {
-        match acic_bench::delta::bench_delta(cli.smoke) {
-            Ok(report) => println!("{report}"),
-            Err(e) => {
-                eprintln!("bench-delta failed: {e}");
-                std::process::exit(1);
-            }
         }
         return;
     }
@@ -744,7 +708,7 @@ mod tests {
         assert!(cli.smoke && cli.fail_fast);
         assert_eq!(cli.results.as_deref(), Some("rd"));
         assert_eq!(cli.filter, "table");
-        assert!(!cli.list && !cli.bench_delta);
+        assert!(!cli.list);
     }
 
     #[test]
@@ -765,13 +729,6 @@ mod tests {
         assert!(err.contains("requires a value"), "{err}");
         let err = parse_cli(argv(&["--window-threads", "--smoke"])).unwrap_err();
         assert!(err.contains("the option '--smoke'"), "{err}");
-    }
-
-    #[test]
-    fn window_smoke_switch_parses() {
-        let cli = parse_cli(argv(&["--window-smoke"])).unwrap();
-        assert!(cli.window_smoke);
-        assert!(!parse_cli(argv(&["--smoke"])).unwrap().window_smoke);
     }
 
     #[test]

@@ -379,7 +379,7 @@ pub fn pinned_space() -> DseSpace {
     }
 }
 
-/// The cache-geometry sweep behind the committed baseline numbers:
+/// The built-in cache-geometry sweep (`experiments --dse`):
 /// LRU + SRRIP + a 288-point ACIC cross product over three
 /// applications — 870 cells per rung, the "~1000-cell grid" of the
 /// scenario this PR exists to make affordable.

@@ -803,8 +803,7 @@ pub fn multi_tenant() -> String {
 /// so the sweep stays meaningful at any `ACIC_EXP_INSTRUCTIONS`;
 /// warmup is a quarter period (the rest of the gap is
 /// convergence-gated fast-forward). The documented default schedule's
-/// full-scale numbers live in `BENCH_baseline.json`'s `sampled`
-/// section.
+/// full-scale contract is asserted by `tests/sampled_sim.rs`.
 pub fn sampling_error() -> String {
     use std::time::Instant;
     let n = instruction_budget();

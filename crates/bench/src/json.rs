@@ -1,12 +1,12 @@
 //! A dependency-free recursive-descent JSON reader.
 //!
 //! Covers exactly the subset the workspace's machine-readable
-//! artifacts use (`BENCH_baseline.json`, `BENCH_delta.json`): objects,
-//! arrays, strings with the common escapes, `f64` numbers, booleans
-//! and `null`. The writers in `baseline.rs`/`delta.rs` must emit
+//! artifacts use (the result-store journal, DSE axes files and the
+//! benchmark's result lines): objects, arrays, strings with the common
+//! escapes, `f64` numbers, booleans and `null`. Writers must emit
 //! *strict* JSON (no `+`-prefixed numbers) so external tooling can
-//! read the committed files; this reader is deliberately the lenient
-//! side of the pair.
+//! read their output; this reader is deliberately the lenient side of
+//! the pair.
 
 /// A parsed JSON value (numbers as `f64`, objects as ordered pairs).
 #[derive(Clone, Debug, PartialEq)]

@@ -15,8 +15,6 @@
 //! println!("{}", acic_bench::figures::fig10_speedup());
 //! ```
 
-pub mod baseline;
-pub mod delta;
 pub mod dse;
 pub mod fault;
 pub mod figures;
@@ -25,6 +23,5 @@ pub mod result_store;
 pub mod runner;
 pub mod supervise;
 pub mod trace_store;
-pub mod window_smoke;
 
 pub use runner::{instruction_budget, run_config, run_pair, run_spec, Runner, WorkloadSpec};

@@ -19,8 +19,8 @@
 //! the sampled engine's functional warming are the same code.
 //!
 //! [`run_unbatched`] keeps the naive one-probe-per-instruction loop as
-//! a reference baseline so throughput benchmarks (and the committed
-//! `BENCH_*.json` trajectory) can quantify what batching buys.
+//! a reference baseline so throughput benchmarks can quantify what
+//! batching buys.
 //!
 //! # Examples
 //!

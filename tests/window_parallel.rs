@@ -46,6 +46,10 @@ fn assert_identical(a: &SimReport, b: &SimReport, what: &str) {
     assert_eq!(a.context_switches, b.context_switches, "{what}");
     assert_eq!(a.acic, b.acic, "{what}: acic");
     assert_eq!(a.cshr, b.cshr, "{what}: cshr");
+    // Catch-all for any field not listed above: `SimReport` carries
+    // `f64`s, so equality of the shortest-round-trip `Debug` rendering
+    // is bit-level equality of every counter and estimator.
+    assert_eq!(format!("{a:?}"), format!("{b:?}"), "{what}: full report");
 }
 
 fn pin_worker_counts<W: TraceSource + Sync>(cfg: &SimConfig, wl: &W, what: &str) -> SimReport {

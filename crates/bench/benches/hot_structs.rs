@@ -3,7 +3,11 @@
 //! measured, not asserted: the packed-lane CSHR vs. the
 //! array-of-structs one, the ring-buffered two-level predictor vs.
 //! the `VecDeque` one, and the open-addressed MSHR vs. the `HashMap`
-//! one. Drive orders are identical within each pair.
+//! one. Drive orders are identical within each pair. The
+//! `block_run_walk` group times the two whole-trace block-run walks
+//! over a frozen 1M-instruction web-search trace: the `BlockRuns`
+//! adapter over decoded instructions, and the `PackedTrace` decoder
+//! that reads records straight into runs.
 //!
 //! Run: `cargo bench -p acic-bench --bench hot_structs`
 //! (CI runs it under `ACIC_BENCH_QUICK=1` as a smoke pass.)
@@ -12,8 +16,10 @@ use acic_core::{
     AcicConfig, Cshr, LegacyCshr, LegacyTwoLevelPredictor, ResolutionBuf, TwoLevelPredictor,
 };
 use acic_sim::mem::{LegacyMissTracker, MissTracker};
+use acic_trace::{BlockRuns, PackedTrace, TraceSource};
 use acic_types::BlockAddr;
-use criterion::{criterion_group, criterion_main, Criterion};
+use acic_workloads::{AppProfile, SyntheticWorkload};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
 /// Deterministic probe-tag stream shared by both CSHR benches: a
@@ -131,10 +137,31 @@ fn bench_mshr_lookup(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_block_run_walk(c: &mut Criterion) {
+    let trace = PackedTrace::from_source(&SyntheticWorkload::with_instructions(
+        AppProfile::web_search(),
+        1_000_000,
+    ));
+    let adapter_walk = || BlockRuns::new(trace.iter()).count();
+    let run_native_walk = || {
+        let mut runs = 0usize;
+        trace.for_each_run(|_| runs += 1);
+        runs
+    };
+    assert_eq!(adapter_walk(), run_native_walk(), "walks disagree");
+    let mut g = c.benchmark_group("block_run_walk");
+    g.sample_size(10)
+        .throughput(Throughput::Elements(trace.len()));
+    g.bench_function("adapter", |b| b.iter(adapter_walk));
+    g.bench_function("run_native", |b| b.iter(run_native_walk));
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_cshr_probe,
     bench_predictor_train,
-    bench_mshr_lookup
+    bench_mshr_lookup,
+    bench_block_run_walk
 );
 criterion_main!(benches);

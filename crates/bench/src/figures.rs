@@ -9,7 +9,7 @@ use acic_core::acic::{ACCURACY_BOUNDS, INSERT_DELTA_LABELS};
 use acic_core::{AcicConfig, PredictorKind, UpdateMode};
 use acic_energy::{storage_table_rows, EnergyModel};
 use acic_sim::{IcacheOrg, PrefetcherKind, SimConfig, SimReport, Simulator};
-use acic_trace::{BlockRuns, MarkovChain, ReuseBucket, StackDistanceAnalyzer, TraceSource};
+use acic_trace::{MarkovChain, ReuseBucket, StackDistanceAnalyzer, TraceSource};
 use acic_types::stats::{gmean, mean};
 use acic_workloads::AppProfile;
 
@@ -78,7 +78,8 @@ pub fn fig01b_markov() -> String {
         &WorkloadSpec::Single(AppProfile::media_streaming()),
         instruction_budget(),
     );
-    let seq: Vec<_> = BlockRuns::new(wl.iter()).map(|r| r.block).collect();
+    let mut seq = Vec::new();
+    wl.for_each_run(|r| seq.push(r.block));
     let chain = MarkovChain::from_sequence(&seq);
     let mut header = vec!["from \\ to".to_string()];
     header.extend(ReuseBucket::ALL.iter().map(|b| b.label().to_string()));

@@ -67,8 +67,7 @@ use crate::report::{mean_ci95, PrefetchStats, SampledStats, SimReport};
 use acic_cache::{AccessCtx, CacheStats, IcacheContents};
 use acic_core::AcicIcache;
 use acic_trace::{
-    BlockRuns, GroupedRuns, Instr, InstrKind, OracleCursor, ReuseOracle, RunInstrs, TraceSource,
-    NO_NEXT_USE,
+    GroupedRuns, Instr, InstrKind, OracleCursor, ReuseOracle, RunInstrs, TraceSource, NO_NEXT_USE,
 };
 use acic_types::{Addr, Asid, Cycle, TaggedBlock};
 
@@ -1011,12 +1010,12 @@ impl Engine {
             // instructions while materializing the block sequence.
             let mut total = 0u64;
             let mut seq = Vec::new();
-            for r in BlockRuns::new(workload.iter()) {
+            workload.for_each_run(|r| {
                 // Oracle keys are flattened tagged identities, so
                 // tenants' overlapping VAs stay distinct.
                 seq.push(r.oracle_key());
                 total += r.len as u64;
-            }
+            });
             (Some(ReuseOracle::from_sequence(&seq)), total)
         } else {
             // No oracle: take the source's exact length when it knows

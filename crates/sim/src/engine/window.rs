@@ -55,7 +55,7 @@ use crate::config::{SampleSchedule, SimConfig};
 use crate::report::{BranchStats, PrefetchStats, SimReport};
 use acic_cache::CacheStats;
 use acic_core::{AcicIcache, AcicStats, CshrStats};
-use acic_trace::{BlockRuns, GroupedRuns, ReuseOracle, TraceSource};
+use acic_trace::{GroupedRuns, ReuseOracle, TraceSource};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 
@@ -565,11 +565,11 @@ impl Engine {
             let mut seq = Vec::new();
             let mut lens: Vec<u32> = Vec::new();
             let mut total = 0u64;
-            for r in BlockRuns::new(workload.iter()) {
+            workload.for_each_run(|r| {
                 seq.push(r.oracle_key());
                 lens.push(r.len);
                 total += r.len as u64;
-            }
+            });
             (Some(ReuseOracle::from_sequence(&seq)), lens, total)
         } else {
             let total = workload

@@ -5,8 +5,10 @@
 //! runs an L1i organization over a trace with none of the pipeline
 //! machinery: no front end, no backend, no memory-hierarchy timing.
 //!
-//! The hot loop is **run-batched**: [`BlockRuns`] groups consecutive
-//! same-block instructions into a single i-cache access, so a run of
+//! The hot loop is **run-batched**: [`TraceSource::for_each_run`]
+//! groups consecutive same-block instructions into a single i-cache
+//! access (a frozen trace decodes its records straight into these
+//! runs, without building instructions), so a run of
 //! 16 straight-line instructions costs one filter+cache+CSHR probe
 //! instead of sixteen. This matches the hardware (one fetch-group
 //! access per block transition) and the access-index convention used
@@ -38,7 +40,7 @@
 use crate::icache::IcacheOrg;
 use acic_cache::{AccessCtx, CacheStats};
 use acic_core::{AcicIcache, AcicStats};
-use acic_trace::{BlockRuns, ReuseOracle, TraceSource, NO_NEXT_USE};
+use acic_trace::{ReuseOracle, TraceSource, NO_NEXT_USE};
 use acic_types::Asid;
 
 /// Result of a functional (contents-only) simulation.
@@ -76,9 +78,8 @@ fn oracle_for<W: TraceSource>(org: &IcacheOrg, workload: &W) -> Option<ReuseOrac
     org.needs_oracle().then(|| {
         // Oracle keys are flattened tagged identities, so tenants'
         // overlapping VAs stay distinct futures.
-        let seq: Vec<_> = BlockRuns::new(workload.iter())
-            .map(|r| r.oracle_key())
-            .collect();
+        let mut seq = Vec::new();
+        workload.for_each_run(|r| seq.push(r.oracle_key()));
         ReuseOracle::from_sequence(&seq)
     })
 }
@@ -118,7 +119,7 @@ pub fn run_functional<W: TraceSource>(org: &IcacheOrg, workload: &W) -> Function
     let mut accesses = 0u64;
     let mut cur_asid = Asid::HOST;
     let mut context_switches = 0u64;
-    for run in BlockRuns::new(workload.iter()) {
+    workload.for_each_run(|run| {
         accesses += 1;
         instructions += run.len as u64;
         if run.asid != cur_asid {
@@ -138,7 +139,7 @@ pub fn run_functional<W: TraceSource>(org: &IcacheOrg, workload: &W) -> Function
         if wants_tick {
             contents.tick(accesses);
         }
-    }
+    });
     finish(
         workload.name(),
         org.label(),

@@ -43,6 +43,35 @@
 //! is what makes SMARTS-style fast-forward over frozen traces free.
 //! Generated sources must produce-and-discard the same gap.
 //!
+//! # Walking runs without decoding instructions
+//!
+//! Functional simulation and the oracle pre-passes need only the
+//! block-run sequence, not the instructions in it. The
+//! [`TraceSource::for_each_run`] override reads the record stream
+//! straight into [`BlockRun`]s instead of going through
+//! `BlockRuns::new(self.iter())`:
+//!
+//! * An `AluRun` of N instructions becomes per-block arithmetic — the
+//!   instructions left before the next 64 B boundary join the open
+//!   run, every further block starts a new one — not N `Instr` values.
+//! * Load/store data deltas are skipped, not reconstructed; only the
+//!   PC, the taken flag, the target and the ASID are tracked.
+//! * Records that only add instructions at the expected PC (inline
+//!   `AluRun`s and PC-sequential ALU, load, store and not-taken branch
+//!   records — about 92% of the records of the synthetic web-search,
+//!   tpc-c and multi-tenant traces) dispatch on a 256-entry table
+//!   indexed by the header byte, and the one varint some of them carry
+//!   is measured from a single 8-byte load. Record kinds arrive in no
+//!   predictable order, so this removes an opcode branch the host
+//!   would often mispredict. Taken branches, explicit PC deltas, ASID
+//!   switches and varint-length runs take the general path.
+//!
+//! The run sequence is bit-identical to the adapter's (the grouping
+//! rule is the same: a run ends at a block change, an ASID change, or
+//! after a taken branch); `tests/packed_trace.rs` pins that on fuzzed
+//! streams. The cursor stays the path for everything that needs whole
+//! instructions: the timing loop, warming and `GroupedRuns`.
+//!
 //! # On-disk container
 //!
 //! [`PackedTrace::write_to`]/[`PackedTrace::read_from`] serialize the
@@ -71,8 +100,9 @@
 //! ```
 
 use crate::instr::{BranchClass, Instr, InstrKind};
+use crate::runs::BlockRun;
 use crate::source::TraceSource;
-use acic_types::{Addr, Asid};
+use acic_types::{Addr, Asid, BlockAddr, BLOCK_BYTES, BLOCK_OFFSET_BITS};
 
 /// Instructions per skip-index snapshot. Every entry starts at a
 /// record boundary (pending runs are flushed), so a skip decodes at
@@ -153,6 +183,15 @@ fn read_varint(bytes: &[u8], pos: &mut usize) -> u64 {
         }
         shift += 7;
     }
+}
+
+/// Steps over one varint without decoding it.
+#[inline]
+fn skip_varint(bytes: &[u8], pos: &mut usize) {
+    while bytes[*pos] & 0x80 != 0 {
+        *pos += 1;
+    }
+    *pos += 1;
 }
 
 #[inline]
@@ -564,11 +603,174 @@ impl Iterator for PackedCursor<'_> {
 
 impl ExactSizeIterator for PackedCursor<'_> {}
 
+/// [`RUN_WALK`] entry: the record needs the general decode path.
+const GENERAL: u8 = 0;
+/// [`RUN_WALK`] flag: one varint follows the header and is skipped.
+const SKIP_VARINT: u8 = 0x80;
+
+/// What the run walk does with each header byte. Nonzero entries are
+/// records of N sequential instructions at the expected PC (N in the
+/// low bits, at most 31) followed by nothing or by one varint the walk
+/// skips: inline `AluRun`s, and PC-sequential ALU, long-ALU, load,
+/// store and not-taken branch records. Everything else — a PC delta,
+/// a taken branch, an ASID switch, a varint run length — is
+/// [`GENERAL`]. Dispatching on one table byte instead of branching on
+/// the opcode keeps the common records free of unpredictable jumps.
+static RUN_WALK: [u8; 256] = {
+    let mut t = [GENERAL; 256];
+    let mut h = 0;
+    while h < 256 {
+        let b = h as u8;
+        let op = b & OP_MASK;
+        let seq = b & FLAG_PC == 0;
+        t[h] = match op {
+            OP_ALU_RUN => b >> RUN_SHIFT,
+            OP_ALU | OP_LONG_ALU if seq => 1,
+            OP_LOAD | OP_STORE if seq && b & FLAG_DATA_SAME != 0 => 1,
+            OP_LOAD | OP_STORE if seq => 1 | SKIP_VARINT,
+            OP_BRANCH if seq && b & FLAG_TAKEN == 0 => 1 | SKIP_VARINT,
+            _ => GENERAL,
+        };
+        h += 1;
+    }
+    t
+};
+
+/// The block run [`PackedTrace::for_each_run`] is still extending
+/// (none while `len == 0`).
+struct OpenRun<F> {
+    block: u64,
+    asid: u16,
+    len: u32,
+    f: F,
+}
+
+impl<F: FnMut(BlockRun)> OpenRun<F> {
+    /// Adds `n` instructions of `block` in `asid`: they join the open
+    /// run when it has the same block and ASID; otherwise the open run
+    /// is emitted and they start a new one.
+    #[inline(always)]
+    fn extend(&mut self, block: u64, asid: u16, n: u32) {
+        if self.len > 0 && block == self.block && asid == self.asid {
+            self.len += n;
+        } else {
+            self.emit(false);
+            self.block = block;
+            self.asid = asid;
+            self.len = n;
+        }
+    }
+
+    /// Adds `n` sequential instructions starting at `*pc` and advances
+    /// `*pc` past them: one step per 64 B block, each taking the
+    /// instructions left before the block's end (PCs need not be
+    /// 4-aligned).
+    #[inline(always)]
+    fn extend_sequential(&mut self, asid: u16, pc: &mut u64, mut n: u64) {
+        while n > 0 {
+            let in_block = (BLOCK_BYTES - (*pc & (BLOCK_BYTES - 1))).div_ceil(4);
+            let take = n.min(in_block);
+            self.extend(*pc >> BLOCK_OFFSET_BITS, asid, take as u32);
+            *pc += 4 * take;
+            n -= take;
+        }
+    }
+
+    /// Hands the open run (if any) to the callback and closes it.
+    #[inline(always)]
+    fn emit(&mut self, ends_in_taken_branch: bool) {
+        if self.len > 0 {
+            (self.f)(BlockRun {
+                block: BlockAddr::new(self.block),
+                asid: Asid::new(self.asid),
+                len: self.len,
+                ends_in_taken_branch,
+            });
+            self.len = 0;
+        }
+    }
+}
+
 impl TraceSource for PackedTrace {
     type Iter<'a> = PackedCursor<'a>;
 
     fn iter(&self) -> Self::Iter<'_> {
         PackedCursor::new(self)
+    }
+
+    /// Decodes the record stream straight into runs (see "Walking runs
+    /// without decoding instructions" in the module docs): the same
+    /// sequence as `BlockRuns::new(self.iter())` without building an
+    /// `Instr`.
+    fn for_each_run<F: FnMut(BlockRun)>(&self, f: F) {
+        let bytes = &self.bytes[..];
+        let mut run = OpenRun {
+            block: 0,
+            asid: 0,
+            len: 0,
+            f,
+        };
+        let mut pos = 0usize;
+        let mut expect_pc = 0u64;
+        let mut asid = 0u16;
+        // The fast path reads a word past the header, so the last
+        // records take the general path.
+        let fast_end = bytes.len().saturating_sub(16);
+        while pos < bytes.len() {
+            let header = bytes[pos];
+            let step = RUN_WALK[header as usize];
+            if step != GENERAL && pos < fast_end {
+                // Length of the varint after the header, found without
+                // a loop when it ends within the next 8 bytes.
+                let word = u64::from_le_bytes(bytes[pos + 1..pos + 9].try_into().expect("8 bytes"));
+                let ends = !word & 0x8080_8080_8080_8080;
+                let skips = step & SKIP_VARINT != 0;
+                if !(skips & (ends == 0)) {
+                    let varint_len = (ends.trailing_zeros() as usize + 1) / 8;
+                    pos += 1 + (varint_len & (skips as usize).wrapping_neg());
+                    let n = (step & !SKIP_VARINT) as u64;
+                    run.extend_sequential(asid, &mut expect_pc, n);
+                    continue;
+                }
+            }
+            pos += 1;
+            let op = header & OP_MASK;
+            if op == OP_ALU_RUN {
+                let inline = (header >> RUN_SHIFT) as u64;
+                let n = if inline == 0 {
+                    read_varint(bytes, &mut pos)
+                } else {
+                    inline
+                };
+                run.extend_sequential(asid, &mut expect_pc, n);
+                continue;
+            }
+            if op == OP_ASID {
+                asid = read_varint(bytes, &mut pos) as u16;
+                continue;
+            }
+            let pc = if header & FLAG_PC != 0 {
+                let d = unzigzag(read_varint(bytes, &mut pos));
+                expect_pc.wrapping_add(d as u64)
+            } else {
+                expect_pc
+            };
+            run.extend(pc >> BLOCK_OFFSET_BITS, asid, 1);
+            expect_pc = pc + 4;
+            match op {
+                OP_LOAD | OP_STORE if header & FLAG_DATA_SAME == 0 => {
+                    skip_varint(bytes, &mut pos);
+                }
+                OP_BRANCH if header & FLAG_TAKEN != 0 => {
+                    let d = unzigzag(read_varint(bytes, &mut pos));
+                    expect_pc = pc.wrapping_add(d as u64);
+                    run.emit(true);
+                }
+                OP_BRANCH => skip_varint(bytes, &mut pos),
+                _ => {}
+            }
+        }
+        run.emit(false);
     }
 
     fn name(&self) -> &str {
@@ -816,7 +1018,9 @@ impl PackedTrace {
             let mut shift = 0u32;
             loop {
                 let b = byte(pos)?;
-                if shift >= 64 {
+                // The tenth byte holds bit 63 only: anything more
+                // (including a continuation) does not fit in 64 bits.
+                if shift == 63 && b > 1 {
                     return Err(TraceFileError::Format("varint longer than 64 bits".into()));
                 }
                 v |= ((b & 0x7f) as u64) << shift;
@@ -852,7 +1056,11 @@ impl PackedTrace {
             let op = header & OP_MASK;
             match op {
                 OP_ASID => {
-                    asid = varint(&mut pos)? as u16;
+                    let raw = varint(&mut pos)?;
+                    let Ok(a) = u16::try_from(raw) else {
+                        return err(format!("ASID {raw} exceeds 16 bits at instruction {done}"));
+                    };
+                    asid = a;
                     continue;
                 }
                 OP_ALU_RUN => {
@@ -1256,6 +1464,52 @@ mod tests {
             PackedTrace::from_bytes(&reforge_checksum(bad)).is_err(),
             "truncated payload accepted"
         );
+
+        // Hand-built one-instruction payloads behind a valid checksum.
+        let container = |payload: Vec<u8>| {
+            PackedTrace {
+                bytes: payload,
+                index: vec![IndexEntry {
+                    byte_pos: 0,
+                    expect_pc: 0,
+                    last_data: 0,
+                    asid: 0,
+                }],
+                len: 1,
+                name: "forge".into(),
+            }
+            .to_bytes()
+        };
+        let rejected = |payload: Vec<u8>| {
+            matches!(
+                PackedTrace::from_bytes(&container(payload)),
+                Err(TraceFileError::Format(_))
+            )
+        };
+
+        // An ASID above 16 bits used to be truncated into another
+        // tenant's address space.
+        let mut asid = vec![OP_ASID];
+        write_varint(&mut asid, u16::MAX as u64 + 1);
+        asid.push(OP_ALU);
+        assert!(rejected(asid), "ASID above u16::MAX accepted");
+        let mut asid = vec![OP_ASID];
+        write_varint(&mut asid, u16::MAX as u64);
+        asid.push(OP_ALU);
+        assert!(!rejected(asid), "the largest ASID must load");
+
+        // A ten-byte varint (a load's data delta) may carry bit 63 in
+        // its last byte and nothing above it.
+        let mut load = vec![OP_LOAD];
+        load.extend([0xff; 9]);
+        load.push(0x01);
+        assert!(!rejected(load), "a full 64-bit varint must load");
+        for tail in [&[0x02u8][..], &[0x7f], &[0x81, 0x00]] {
+            let mut load = vec![OP_LOAD];
+            load.extend([0xff; 9]);
+            load.extend(tail);
+            assert!(rejected(load), "varint ending {tail:02x?} accepted");
+        }
     }
 
     #[test]

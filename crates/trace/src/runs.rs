@@ -6,6 +6,9 @@
 //! block. [`BlockRuns`] performs that grouping. Both the functional
 //! oracle pre-pass and the timing simulator consume the *same* run
 //! sequence, which is what makes the two-pass Belady OPT exact.
+//! Whole-trace walks get it through
+//! [`TraceSource::for_each_run`](crate::TraceSource::for_each_run),
+//! whose default body is this adapter.
 
 use crate::instr::Instr;
 use acic_types::{Asid, BlockAddr, TaggedBlock};

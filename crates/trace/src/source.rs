@@ -8,6 +8,7 @@
 //! tests and examples.
 
 use crate::instr::Instr;
+use crate::runs::{BlockRun, BlockRuns};
 
 /// A deterministic, re-openable stream of instructions.
 ///
@@ -67,6 +68,19 @@ pub trait TraceSource {
     /// with a cheaper state jump may override.
     fn skip(iter: &mut Self::Iter<'_>, n: u64) -> u64 {
         skip_instrs(iter, n)
+    }
+
+    /// Calls `f` with every [`BlockRun`] of a fresh pass, in order.
+    ///
+    /// The sequence is exactly `BlockRuns::new(self.iter())`, which is
+    /// the default body, so [`BlockRuns`] stays the one definition of
+    /// the grouping rule. Whole-trace walks that need runs but not
+    /// instructions (functional simulation, oracle pre-passes) go
+    /// through here; a source that can find run boundaries without
+    /// materializing instructions overrides it
+    /// ([`crate::PackedTrace`] does).
+    fn for_each_run<F: FnMut(BlockRun)>(&self, f: F) {
+        BlockRuns::new(self.iter()).for_each(f);
     }
 
     /// Deterministic seed derived from the trace's name.

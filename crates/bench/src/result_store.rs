@@ -309,9 +309,9 @@ pub fn cell_key(spec: &WorkloadSpec, instructions: u64, cfg: &SimConfig) -> Stri
 /// [`cell_key`] for cells simulated through the window-parallel
 /// engine (`Engine::run_windowed`): the serial key plus a `-w` mode
 /// suffix, because windowed execution runs a *different* sampling
-/// structure (independent mirror-replayed windows) than the serial
-/// adaptive engine, so the two modes must never share a journal
-/// entry.
+/// structure (interiors warmed on one serial pass and measured on
+/// forked copies) than the serial adaptive engine, so the two modes
+/// must never share a journal entry.
 ///
 /// The worker count is deliberately **not** part of the key: the
 /// windowed report is bit-identical for every worker count (pinned by

@@ -33,7 +33,7 @@ use acic_types::{SatCounter, TaggedBlock};
 /// assert!(p.should_admit(hot, Some(cold), &ctx));
 /// assert!(!p.should_admit(cold, Some(hot), &ctx));
 /// ```
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct AccessCountAdmission {
     counters: Vec<SatCounter>,
     index_bits: u32,
@@ -70,6 +70,10 @@ impl AccessCountAdmission {
 }
 
 impl AdmissionPolicy for AccessCountAdmission {
+    fn clone_box(&self) -> Box<dyn AdmissionPolicy> {
+        Box::new(self.clone())
+    }
+
     fn name(&self) -> &'static str {
         "access-count"
     }

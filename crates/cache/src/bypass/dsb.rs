@@ -31,7 +31,7 @@ struct Duel {
 /// DSB adaptive bypass policy.
 ///
 /// Starts non-bypassing (probability 0) and learns.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct DsbAdmission {
     bypass_num: u64,
     duels: [Duel; DUEL_SLOTS],
@@ -57,6 +57,10 @@ impl DsbAdmission {
 }
 
 impl AdmissionPolicy for DsbAdmission {
+    fn clone_box(&self) -> Box<dyn AdmissionPolicy> {
+        Box::new(self.clone())
+    }
+
     fn name(&self) -> &'static str {
         "dsb"
     }

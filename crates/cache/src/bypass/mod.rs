@@ -22,9 +22,13 @@ use acic_types::TaggedBlock;
 
 /// Decides whether an incoming block should be admitted into the
 /// cache, displacing `contender`.
-pub trait AdmissionPolicy {
+pub trait AdmissionPolicy: Send {
     /// Short name used in reports.
     fn name(&self) -> &'static str;
+
+    /// A deep copy behind a fresh box: the admission state of a
+    /// forked simulator checkpoint.
+    fn clone_box(&self) -> Box<dyn AdmissionPolicy>;
 
     /// Admission decision. `contender` is `None` when the target set
     /// still has invalid ways (admission is then free and the driver
@@ -50,12 +54,22 @@ pub trait AdmissionPolicy {
     }
 }
 
+impl Clone for Box<dyn AdmissionPolicy> {
+    fn clone(&self) -> Self {
+        self.clone_box()
+    }
+}
+
 /// Admits everything — the "always insert i-Filter victim" arm of
 /// Figure 3a and the default for plain caches.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct AlwaysAdmit;
 
 impl AdmissionPolicy for AlwaysAdmit {
+    fn clone_box(&self) -> Box<dyn AdmissionPolicy> {
+        Box::new(*self)
+    }
+
     fn name(&self) -> &'static str {
         "always-admit"
     }
@@ -76,6 +90,10 @@ impl AdmissionPolicy for AlwaysAdmit {
 pub struct NeverAdmit;
 
 impl AdmissionPolicy for NeverAdmit {
+    fn clone_box(&self) -> Box<dyn AdmissionPolicy> {
+        Box::new(*self)
+    }
+
     fn name(&self) -> &'static str {
         "never-admit"
     }
@@ -116,6 +134,10 @@ impl RandomAdmit {
 }
 
 impl AdmissionPolicy for RandomAdmit {
+    fn clone_box(&self) -> Box<dyn AdmissionPolicy> {
+        Box::new(self.clone())
+    }
+
     fn name(&self) -> &'static str {
         "random-admit"
     }

@@ -33,7 +33,7 @@ struct RhtEntry {
 }
 
 /// OBM bypass policy.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct ObmAdmission {
     rht: [RhtEntry; RHT_ENTRIES],
     next_slot: usize,
@@ -69,6 +69,10 @@ impl ObmAdmission {
 }
 
 impl AdmissionPolicy for ObmAdmission {
+    fn clone_box(&self) -> Box<dyn AdmissionPolicy> {
+        Box::new(self.clone())
+    }
+
     fn name(&self) -> &'static str {
         "obm"
     }

@@ -23,6 +23,10 @@ use acic_types::TaggedBlock;
 pub struct OptBypassAdmission;
 
 impl AdmissionPolicy for OptBypassAdmission {
+    fn clone_box(&self) -> Box<dyn AdmissionPolicy> {
+        Box::new(*self)
+    }
+
     fn name(&self) -> &'static str {
         "opt-bypass"
     }

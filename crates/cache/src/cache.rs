@@ -71,6 +71,7 @@ pub const MAX_WAYS: usize = 16;
 /// assert!(c.contains(BlockAddr::new(2)));
 /// assert!(c.contains(BlockAddr::new(4)));
 /// ```
+#[derive(Clone)]
 pub struct SetAssocCache {
     geom: CacheGeometry,
     /// Flattened line identities ([`TaggedBlock::ident`]), one `u64`

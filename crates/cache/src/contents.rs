@@ -57,10 +57,15 @@ impl AccessOutcome {
 /// simulation), the access mutates state exactly as usual — tags
 /// fill, policies and predictors train — but no [`CacheStats`] or
 /// organization-level counters move.
-pub trait IcacheContents {
+pub trait IcacheContents: Send {
     /// Handles one access (demand fetch or prefetch probe, per
     /// `ctx.is_prefetch`).
     fn access(&mut self, ctx: &AccessCtx<'_>) -> AccessOutcome;
+
+    /// A deep copy behind a fresh box — tags, replacement and
+    /// admission state, statistics. The copy and the original evolve
+    /// independently; this is how a simulator checkpoint forks.
+    fn clone_box(&self) -> Box<dyn IcacheContents>;
 
     /// Installs a block that arrived from the next level.
     fn fill(&mut self, ctx: &AccessCtx<'_>);
@@ -112,6 +117,12 @@ pub trait IcacheContents {
     fn as_any(&self) -> &dyn core::any::Any;
 }
 
+impl Clone for Box<dyn IcacheContents> {
+    fn clone(&self) -> Self {
+        self.clone_box()
+    }
+}
+
 /// A plain set-associative i-cache, optionally with a direct fill
 /// bypass policy (DSB, OBM).
 ///
@@ -127,6 +138,7 @@ pub trait IcacheContents {
 /// icache.fill(&ctx);
 /// assert!(icache.access(&AccessCtx::demand(BlockAddr::new(1), 1)).hit);
 /// ```
+#[derive(Clone)]
 pub struct PlainIcache {
     cache: SetAssocCache,
     bypass: Option<Box<dyn AdmissionPolicy>>,
@@ -166,6 +178,10 @@ impl PlainIcache {
 }
 
 impl IcacheContents for PlainIcache {
+    fn clone_box(&self) -> Box<dyn IcacheContents> {
+        Box::new(self.clone())
+    }
+
     fn access(&mut self, ctx: &AccessCtx<'_>) -> AccessOutcome {
         if !ctx.is_prefetch {
             if let Some(b) = self.bypass.as_mut() {
@@ -226,6 +242,7 @@ impl IcacheContents for PlainIcache {
 
 /// An i-cache with a traditional victim cache beside it (Jouppi 1990;
 /// the paper's VC3K comparison point).
+#[derive(Clone)]
 pub struct VictimCachedIcache {
     cache: SetAssocCache,
     victim: VictimCache,
@@ -258,6 +275,10 @@ impl VictimCachedIcache {
 }
 
 impl IcacheContents for VictimCachedIcache {
+    fn clone_box(&self) -> Box<dyn IcacheContents> {
+        Box::new(self.clone())
+    }
+
     fn access(&mut self, ctx: &AccessCtx<'_>) -> AccessOutcome {
         let main_hit = self.cache.access(ctx);
         let outcome = if main_hit {

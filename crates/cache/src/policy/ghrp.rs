@@ -35,7 +35,7 @@ struct LineMeta {
 }
 
 /// GHRP replacement policy.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct GhrpPolicy {
     ways: usize,
     history: u32,
@@ -114,6 +114,10 @@ impl GhrpPolicy {
 }
 
 impl ReplacementPolicy for GhrpPolicy {
+    fn clone_box(&self) -> Box<dyn ReplacementPolicy> {
+        Box::new(self.clone())
+    }
+
     fn name(&self) -> &'static str {
         "ghrp"
     }

@@ -308,7 +308,7 @@ struct LineMeta {
 }
 
 /// Hawkeye (or Harmony when `prefetch_aware`) replacement policy.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct HawkeyePolicy {
     ways: usize,
     sample_mask: usize,
@@ -375,6 +375,10 @@ impl HawkeyePolicy {
 }
 
 impl ReplacementPolicy for HawkeyePolicy {
+    fn clone_box(&self) -> Box<dyn ReplacementPolicy> {
+        Box::new(self.clone())
+    }
+
     fn name(&self) -> &'static str {
         if self.prefetch_aware {
             "harmony"

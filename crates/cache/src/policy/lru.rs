@@ -32,7 +32,7 @@ use acic_types::{LruStamps, TaggedBlock};
 /// let evicted = c.fill(&AccessCtx::demand(BlockAddr::new(30), 3));
 /// assert_eq!(evicted.map(|t| t.block), Some(BlockAddr::new(20)));
 /// ```
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct LruPolicy {
     ways: usize,
     /// Per-line stamps; 0 means "never touched" (preferred victim).
@@ -73,6 +73,10 @@ impl LruPolicy {
 }
 
 impl ReplacementPolicy for LruPolicy {
+    fn clone_box(&self) -> Box<dyn ReplacementPolicy> {
+        Box::new(self.clone())
+    }
+
     fn name(&self) -> &'static str {
         "lru"
     }

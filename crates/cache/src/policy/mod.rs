@@ -35,9 +35,13 @@ use acic_types::TaggedBlock;
 /// on block identity must use [`TaggedBlock::ident`] (or
 /// [`AccessCtx::ident`]) so tenants learn separately — the hash is
 /// unchanged for the host space.
-pub trait ReplacementPolicy {
+pub trait ReplacementPolicy: Send {
     /// Short name used in reports.
     fn name(&self) -> &'static str;
+
+    /// A deep copy behind a fresh box: the replacement state of a
+    /// forked simulator checkpoint.
+    fn clone_box(&self) -> Box<dyn ReplacementPolicy>;
 
     /// A resident block was accessed.
     fn on_hit(&mut self, set: usize, way: usize, ctx: &AccessCtx<'_>);
@@ -188,6 +192,7 @@ impl PolicyKind {
 /// no heap indirection. The [`AnyPolicy::Boxed`] variant preserves the
 /// old trait-object path for equivalence tests and naive-baseline
 /// benchmarks.
+#[derive(Clone)]
 pub enum AnyPolicy {
     /// Least recently used.
     Lru(lru::LruPolicy),
@@ -207,6 +212,12 @@ pub enum AnyPolicy {
     Opt(opt::OptPolicy),
     /// Legacy trait-object dispatch (reference/testing path).
     Boxed(Box<dyn ReplacementPolicy>),
+}
+
+impl Clone for Box<dyn ReplacementPolicy> {
+    fn clone(&self) -> Self {
+        self.clone_box()
+    }
 }
 
 macro_rules! dispatch {
@@ -229,6 +240,10 @@ impl ReplacementPolicy for AnyPolicy {
     #[inline]
     fn name(&self) -> &'static str {
         dispatch!(self, p => p.name())
+    }
+
+    fn clone_box(&self) -> Box<dyn ReplacementPolicy> {
+        Box::new(self.clone())
     }
 
     #[inline]

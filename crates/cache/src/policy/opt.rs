@@ -21,7 +21,7 @@ use acic_types::TaggedBlock;
 /// Debug builds assert that accesses carry a `next_use` value; running
 /// OPT without an oracle silently degrades to FIFO-like behavior in
 /// release builds and is a driver bug.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct OptPolicy {
     ways: usize,
     next_use: Vec<u64>,
@@ -42,6 +42,10 @@ impl OptPolicy {
 }
 
 impl ReplacementPolicy for OptPolicy {
+    fn clone_box(&self) -> Box<dyn ReplacementPolicy> {
+        Box::new(self.clone())
+    }
+
     fn name(&self) -> &'static str {
         "opt"
     }

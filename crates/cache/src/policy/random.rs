@@ -13,7 +13,7 @@ use acic_types::TaggedBlock;
 /// decisions; consequently a peek may differ from the subsequent
 /// `victim_way` draw. Random is never used as an ACIC contender
 /// provider, so this is acceptable and documented.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct RandomPolicy {
     ways: usize,
     rng: SplitMix64,
@@ -30,6 +30,10 @@ impl RandomPolicy {
 }
 
 impl ReplacementPolicy for RandomPolicy {
+    fn clone_box(&self) -> Box<dyn ReplacementPolicy> {
+        Box::new(self.clone())
+    }
+
     fn name(&self) -> &'static str {
         "random"
     }

@@ -32,7 +32,7 @@ struct LineMeta {
 /// Blocks whose signature has never produced a re-reference
 /// (counter == 0) are inserted with a distant prediction and evicted
 /// first; all other blocks follow SRRIP.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct ShipPolicy {
     ways: usize,
     lines: Vec<LineMeta>,
@@ -67,6 +67,10 @@ impl ShipPolicy {
 }
 
 impl ReplacementPolicy for ShipPolicy {
+    fn clone_box(&self) -> Box<dyn ReplacementPolicy> {
+        Box::new(self.clone())
+    }
+
     fn name(&self) -> &'static str {
         "ship"
     }

@@ -22,7 +22,7 @@ enum Segment {
 /// Segmented-LRU replacement.
 ///
 /// The protected segment holds at most half the ways (rounded up).
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct SlruPolicy {
     ways: usize,
     protected_cap: usize,
@@ -64,6 +64,10 @@ impl SlruPolicy {
 }
 
 impl ReplacementPolicy for SlruPolicy {
+    fn clone_box(&self) -> Box<dyn ReplacementPolicy> {
+        Box::new(self.clone())
+    }
+
     fn name(&self) -> &'static str {
         "slru"
     }

@@ -35,7 +35,7 @@ pub const RRPV_INSERT: u8 = RRPV_MAX - 1;
 ///     Some(BlockAddr::new(2)),
 /// );
 /// ```
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct SrripPolicy {
     ways: usize,
     rrpv: Vec<u8>,
@@ -60,6 +60,10 @@ impl SrripPolicy {
 }
 
 impl ReplacementPolicy for SrripPolicy {
+    fn clone_box(&self) -> Box<dyn ReplacementPolicy> {
+        Box::new(self.clone())
+    }
+
     fn name(&self) -> &'static str {
         "srrip"
     }

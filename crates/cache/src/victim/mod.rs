@@ -24,7 +24,7 @@ use acic_types::{LruStamps, TaggedBlock};
 /// assert!(vc.probe_and_remove(BlockAddr::new(2)));
 /// assert!(!vc.contains(BlockAddr::new(2))); // removed on hit
 /// ```
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct VictimCache {
     entries: Vec<Option<TaggedBlock>>,
     lru: LruStamps,

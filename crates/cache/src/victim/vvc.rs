@@ -42,6 +42,7 @@ struct Line {
 }
 
 /// The virtual victim cache organization.
+#[derive(Clone)]
 pub struct VvcIcache {
     geom: CacheGeometry,
     lines: Vec<Line>,
@@ -170,6 +171,10 @@ impl VvcIcache {
 }
 
 impl IcacheContents for VvcIcache {
+    fn clone_box(&self) -> Box<dyn IcacheContents> {
+        Box::new(self.clone())
+    }
+
     fn access(&mut self, ctx: &AccessCtx<'_>) -> AccessOutcome {
         let t = ctx.tagged();
         let home = self.geom.set_of_tagged(t);

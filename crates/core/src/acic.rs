@@ -112,6 +112,7 @@ impl AcicStats {
 /// acic.fill(&AccessCtx::demand(a, 0));
 /// assert!(acic.access(&AccessCtx::demand(a, 1)).hit); // i-Filter hit
 /// ```
+#[derive(Clone)]
 pub struct AcicIcache {
     cfg: AcicConfig,
     filter: Option<IFilter>,
@@ -274,6 +275,10 @@ impl AcicIcache {
 }
 
 impl IcacheContents for AcicIcache {
+    fn clone_box(&self) -> Box<dyn IcacheContents> {
+        Box::new(self.clone())
+    }
+
     fn access(&mut self, ctx: &AccessCtx<'_>) -> AccessOutcome {
         if !ctx.is_prefetch {
             // Fetch requests search the CSHR (§III-B) and resolve

@@ -163,7 +163,7 @@ impl core::ops::Deref for ResolutionBuf {
 /// assert_eq!(resolutions.len(), 1);
 /// assert!(resolutions[0].victim_won);
 /// ```
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct Cshr {
     sets: usize,
     ways: usize,
@@ -511,7 +511,7 @@ pub const LIFETIME_BUCKETS: usize = 9;
 /// instrumentation is explicitly requested
 /// ([`crate::AcicIcache::with_unbounded_instrumentation`]); a default
 /// ACIC run never constructs this type, so the maps cost nothing.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct UnboundedCshr {
     by_victim: HashMap<u64, u64>, // victim block -> insert sequence
     by_contender: HashMap<u64, Vec<u64>>,

@@ -35,7 +35,7 @@ const EMPTY_IDENT: u64 = u64::MAX;
 ///     Some(acic_types::TaggedBlock::untagged(BlockAddr::new(2))),
 /// );
 /// ```
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct IFilter {
     ids: Vec<u64>,
     asids: Vec<u16>,

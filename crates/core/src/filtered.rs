@@ -26,6 +26,7 @@ use acic_types::TaggedBlock;
 /// org.fill(&AccessCtx::demand(BlockAddr::new(3), 0));
 /// assert!(org.contains_block(TaggedBlock::untagged(BlockAddr::new(3))));
 /// ```
+#[derive(Clone)]
 pub struct FilteredIcache {
     filter: IFilter,
     cache: SetAssocCache,
@@ -67,6 +68,10 @@ impl FilteredIcache {
 }
 
 impl IcacheContents for FilteredIcache {
+    fn clone_box(&self) -> Box<dyn IcacheContents> {
+        Box::new(self.clone())
+    }
+
     fn access(&mut self, ctx: &AccessCtx<'_>) -> AccessOutcome {
         if !ctx.is_prefetch {
             self.admission.on_demand_access(ctx.tagged(), ctx);

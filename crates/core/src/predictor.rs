@@ -49,7 +49,7 @@ impl PendingUpdate {
 
 /// The paper's two-level HRT + PT admission predictor, with the PT
 /// update queues packed into one flat ring-buffer arena.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct TwoLevelPredictor {
     hrt: Vec<HistoryReg>,
     pt: Vec<SatCounter>,
@@ -340,7 +340,7 @@ impl LegacyTwoLevelPredictor {
 }
 
 /// Runtime-selectable admission predictor (Figure 17 ablations).
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub enum AdmissionPredictor {
     /// The paper's two-level predictor.
     TwoLevel(TwoLevelPredictor),

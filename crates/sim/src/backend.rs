@@ -27,6 +27,7 @@ struct RobEntry {
 }
 
 /// Decode queue + ROB + retirement.
+#[derive(Clone)]
 pub struct Backend {
     /// Decode queue (Table II: 60 entries).
     pub dq: VecDeque<DecodedInstr>,

@@ -44,7 +44,7 @@ struct Entry {
 /// btb.update(pc, Addr::new(0x2000));
 /// assert_eq!(btb.lookup(pc), Some(Addr::new(0x2000)));
 /// ```
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct Btb {
     sets: usize,
     ways: usize,

@@ -114,7 +114,7 @@ impl TageStats {
 /// }
 /// assert!(tage.stats().accuracy() > 0.9);
 /// ```
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct Tage {
     bimodal: Vec<SatCounter>,
     tables: Vec<TageTable>,

@@ -146,7 +146,7 @@ impl TimingLoop {
 /// horizon reads it in O(1) and the per-cycle drain can prove itself a
 /// no-op without scanning. Fill order is insertion order — identical
 /// to the dense loop's historical `retain` walk.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 struct PendingPrefetches {
     slots: Vec<(Cycle, TaggedBlock)>,
     /// Minimum ready cycle over `slots`; meaningless when empty.
@@ -248,12 +248,14 @@ pub(crate) fn contents_step(
 /// persistent across phases: caches and predictors warm monotonically
 /// over the whole run, exactly like the hardware they model; only
 /// statistics are phase-gated. The window-parallel mode
-/// ([`Engine::run_windowed`]) instead constructs one fresh checkpoint
-/// per sampled window ([`WindowCheckpoint::fresh`] is allocation-cheap
-/// — tag arrays and predictor tables, no trace-sized state), warms it
-/// over the window's bounded reach, and discards it after the
-/// detailed interior is measured. The same struct is the checkpoint
-/// substrate the roadmap's cluster and DSE items serialize.
+/// ([`Engine::run_windowed`]) walks one such checkpoint warm through
+/// the whole trace and forks it — `Clone` is a deep copy of every
+/// cache, predictor, queue and the oracle cursor, bounded by the
+/// architectural table sizes, never by the trace — at each sampled
+/// window; the fork runs the detailed interior and is discarded.
+/// The same struct is the checkpoint substrate the roadmap's cluster
+/// and DSE items serialize.
+#[derive(Clone)]
 pub(crate) struct WindowCheckpoint<'o> {
     contents: Box<dyn IcacheContents>,
     cursor: Option<OracleCursor<'o>>,
@@ -309,9 +311,7 @@ impl<'o> WindowCheckpoint<'o> {
     ///
     /// The oracle cursor starts detached; callers that simulate
     /// oracle-dependent organizations attach one afterwards
-    /// (`state.cursor = Some(...)`), which is also how the
-    /// window-parallel mode hands each worker a cursor pre-seeked to
-    /// its window ([`ReuseOracle::cursor_at`]).
+    /// (`state.cursor = Some(...)`).
     pub(crate) fn fresh(
         cfg: &SimConfig,
         seed: u64,
@@ -969,6 +969,34 @@ impl WindowCheckpoint<'_> {
     }
 }
 
+/// The reuse oracle `cfg` needs (OPT, OPT-bypass, or
+/// [`SimConfig::attach_oracle`] instrumentation), if any, and the
+/// workload's exact instruction count.
+fn oracle_pre_pass<W: TraceSource>(cfg: &SimConfig, workload: &W) -> (Option<ReuseOracle>, u64) {
+    if cfg.icache_org.needs_oracle() || cfg.attach_oracle {
+        // The oracle pre-pass has to walk the trace anyway; count
+        // instructions while materializing the block sequence.
+        let mut total = 0u64;
+        let mut seq = Vec::new();
+        workload.for_each_run(|r| {
+            // Oracle keys are flattened tagged identities, so
+            // tenants' overlapping VAs stay distinct.
+            seq.push(r.oracle_key());
+            total += r.len as u64;
+        });
+        (Some(ReuseOracle::from_sequence(&seq)), total)
+    } else {
+        // No oracle: take the source's exact length when it knows it
+        // (synthetic workloads and in-memory traces do), and only fall
+        // back to a counting pass for sources that cannot answer
+        // without walking.
+        let total = workload
+            .len_hint()
+            .unwrap_or_else(|| workload.iter().count() as u64);
+        (None, total)
+    }
+}
+
 /// The phase-scheduled simulation engine: one state machine serving
 /// full-detail runs (bit-identical to the pre-sampling simulator) and
 /// SMARTS-style sampled runs from the same code path.
@@ -1004,29 +1032,7 @@ impl Engine {
         timing_loop: TimingLoop,
     ) -> SimReport {
         cfg.schedule.validate();
-        let needs_oracle = cfg.icache_org.needs_oracle() || cfg.attach_oracle;
-        let (oracle, total_instructions) = if needs_oracle {
-            // The oracle pre-pass has to walk the trace anyway; count
-            // instructions while materializing the block sequence.
-            let mut total = 0u64;
-            let mut seq = Vec::new();
-            workload.for_each_run(|r| {
-                // Oracle keys are flattened tagged identities, so
-                // tenants' overlapping VAs stay distinct.
-                seq.push(r.oracle_key());
-                total += r.len as u64;
-            });
-            (Some(ReuseOracle::from_sequence(&seq)), total)
-        } else {
-            // No oracle: take the source's exact length when it knows
-            // it (synthetic workloads and in-memory traces do), and
-            // only fall back to a counting pass for sources that
-            // cannot answer without walking.
-            let total = workload
-                .len_hint()
-                .unwrap_or_else(|| workload.iter().count() as u64);
-            (None, total)
-        };
+        let (oracle, total_instructions) = oracle_pre_pass(cfg, workload);
 
         let mut state =
             WindowCheckpoint::fresh(cfg, workload.seed(), total_instructions, timing_loop);

@@ -1,54 +1,71 @@
-//! Window-parallel sampled execution: fan the detailed windows of one
-//! trace across cores.
+//! Window-parallel sampled execution: one serial warm pass, with every
+//! detailed window forked off it and run on its own core.
 //!
 //! The serial [`Engine::run`] schedule threads one persistent
-//! [`WindowCheckpoint`] through every phase, so windows inherit warm
-//! caches from the whole prefix. That coupling is what serializes a
-//! 100M-instruction cell onto one core. This module breaks it with the
-//! classic time-parallel recipe — redundant functional warming: a
+//! `WindowCheckpoint` through every phase, so windows inherit warm
+//! caches from the whole prefix. Detailed interiors are the expensive
+//! part of a cell and each one depends only on the state the walk
+//! hands it, so this module splits the schedule in two. A
 //! [`WindowPlan`] derives every detailed window's position from the
 //! [`SampleSchedule`] up front (the same midpoint/clamp arithmetic as
-//! the serial cursor walk), then each window runs on a *private* fresh
-//! checkpoint that **replays the serial schedule's phase structure up
-//! to its own interior** — same initial warmup, same gated
-//! fast-forward-or-warm gaps, same per-window warmup, with every
-//! *prior* interior demoted from detailed to functional warmup
-//! ([`WarmPolicy::MirrorSerial`]). Windows are independent by
-//! construction, so any number of workers — including one — executes
-//! the identical per-window computation, and the reducer pools samples
-//! in canonical window order. Pooled `SampledStats` are therefore
+//! the serial cursor walk). Then one checkpoint — the **spine** —
+//! walks the serial schedule's phase structure once: the same initial
+//! warmup, the same convergence-gated fast-forward-or-warm gaps, the
+//! same per-window warmups, with every interior warmed functionally
+//! rather than measured. At each planned interior the spine **forks**:
+//! it deep-copies its checkpoint (oracle cursor included), opens a
+//! trace pass positioned at the spine's `consumed` count via
+//! [`TraceSource::skip`], and hands the pair off. The fork runs that
+//! window's detailed interior and is discarded; the spine warms
+//! through the interior and walks on. The reducer pools samples in
+//! canonical window order, so pooled `SampledStats` are
 //! **bit-identical across worker counts**; fidelity against the
 //! full-detail reference is a separate contract, enforced at the same
 //! 2% IPC gate as the serial sampler (see `tests/sampled_sim.rs`).
 //!
-//! Mirroring the serial phase structure is not an accident of caution
-//! — it is the measured sweet spot between two failure modes, both
-//! driven by L3 content, which accrues over the *entire* prefix.
-//! Truncating the warm reach to a constant starves interiors of
-//! resident blocks the serial reference would have hit: on the 20M
-//! web-search cell a 2M reach costs 37% pooled-IPC error and even 6M
-//! still costs 4.5% (the required reach scales with trace length, so
-//! no constant passes the gate). Warming the whole prefix
-//! *unconditionally* overshoots the other way (+2.6% IPC on the same
-//! cell): demand-only functional warming leaves the caches cleaner
-//! than real detailed execution, whose prefetch traffic and skipped
-//! fast-forward gaps the serial sampler faithfully carries. Replaying
-//! the serial structure reproduces serial state evolution — including
-//! its convergence-gated skips — so the windowed estimate lands where
-//! the serial one does. Per-window replay cost is the initial warmup
-//! plus one warmup+interior per prior period (converged gaps skip in
-//! O(1)); cost grows with window position, so the pool hands windows
-//! out longest-first (LPT) to keep tail windows from straggling.
-//! Callers who want constant per-window cost can plan a bounded reach
-//! explicitly via [`WindowPlan::with_warm_reach`] and run it through
-//! [`Engine::run_windowed_with`], trading fidelity for wall clock.
+//! # Cost model
 //!
-//! Organizations that need the reuse oracle (OPT, OPT-bypass,
-//! accuracy-instrumented ACIC) get a cursor pre-seeked to their
-//! window's first block access ([`ReuseOracle::cursor_at`]): the
-//! planner's pre-pass records, for every window, the index of the
-//! block run containing `warm_start`, so workers resume oracle queries
-//! mid-sequence without replaying the prefix.
+//! A cell costs one serial warm pass plus W detailed forks. The pass
+//! is the serial sampler's own walk with its interiors warmed instead
+//! of simulated, so it costs about one [`Engine::run`] of the cell.
+//! A fork costs a state copy (tag arrays, predictor tables and the
+//! oracle cursor's last-access map — architectural sizes, never
+//! trace-sized), a trace seek (O(1) on `PackedTrace` and `VecTrace`;
+//! generate-and-discard on generated sources) and its detailed
+//! interior. With `workers > 1` the forks run on `workers − 1` helper
+//! threads while the spine walks on; a fork is copied only once a
+//! helper is free, so at most `workers` checkpoints are alive at once.
+//! With `workers ≤ 1` each fork runs inline before the spine moves on.
+//!
+//! # Why forking equals the per-window replay
+//!
+//! The windowed schedule is defined per window: a private checkpoint
+//! replays the serial phase structure from instruction 0 up to that
+//! window's interior, demoting every prior interior to functional
+//! warmup, then measures its own interior. (`run_window_mirror` in
+//! this module's tests is that definition, kept as a reference twin.)
+//! Window k's replay performs exactly the spine's phase sequence up to
+//! interior k — the convergence gate reads only state the walk itself
+//! produced — so the checkpoint it reaches *is* the spine's checkpoint
+//! at interior k, and the fork is a deep copy of it. The fork's trace
+//! pass starts at the same instruction the spine would read next (the
+//! spine's buffered lookahead always starts a fresh block run, and so
+//! does the first instruction of a new pass), and its oracle cursor
+//! sits at the same position with the same last-access map. Its
+//! detailed segment therefore sees identical inputs and returns an
+//! identical outcome — including the prefix-inclusive `warmed` and
+//! `fastforwarded` counts the reducer sums into `SampledStats`. A
+//! window the walk never reaches (the trace ends first) gets the
+//! spine's final state, exactly where its replay would have stopped.
+//!
+//! Mirroring the serial phase structure rather than warming a bounded
+//! reach or the whole prefix unconditionally is a fidelity choice,
+//! both alternatives measured against the full-detail reference: L3
+//! content accrues over the entire prefix, so a truncated reach
+//! starves interiors (37% pooled-IPC error at a 2M reach on the 20M
+//! web-search cell), while unconditional full-prefix warming leaves
+//! the caches cleaner than the serial sampler's detailed interiors and
+//! skipped gaps do (+2.6% IPC on the same cell).
 
 use super::{Engine, Phase, TimingLoop, WindowCheckpoint, WindowSample};
 use crate::config::{SampleSchedule, SimConfig};
@@ -56,40 +73,19 @@ use crate::report::{BranchStats, PrefetchStats, SimReport};
 use acic_cache::CacheStats;
 use acic_core::{AcicIcache, AcicStats, CshrStats};
 use acic_trace::{GroupedRuns, ReuseOracle, TraceSource};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::{mpsc, Mutex};
 
-/// One planned detailed window: where its warmup starts, where the
-/// measured interior starts, and how long the interior is. All
-/// positions are instruction indices from the start of the trace.
+/// One planned detailed window: where the measured interior starts
+/// and how long it is. Positions are instruction indices from the
+/// start of the trace.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PlannedWindow {
     /// Canonical window number (reduction order).
     pub index: usize,
-    /// First instruction of functional warming: 0 in default
-    /// full-prefix plans, `detailed_start - warmup - reach` (clamped
-    /// at 0) in bounded-reach plans.
-    pub warm_start: u64,
     /// First instruction of the detailed interior.
     pub detailed_start: u64,
     /// Interior length (truncated at end-of-trace).
     pub detailed_len: u64,
-}
-
-/// How each window's private checkpoint reaches warmth before its
-/// detailed interior. Part of the plan — fixed before any window runs
-/// — so the per-window computation never depends on execution order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WarmPolicy {
-    /// Replay the serial schedule's phase structure from instruction 0
-    /// up to the window, demoting prior detailed interiors to
-    /// functional warmup. Reproduces serial state evolution (the
-    /// fidelity default; see the module docs for the measurements).
-    MirrorSerial,
-    /// Skip straight to the window's `warm_start` and warm only the
-    /// bounded reach. Constant per-window cost, measured fidelity loss
-    /// that grows with trace length — for throughput screening.
-    BoundedReach,
 }
 
 /// The full window schedule for one trace: every window's bounds,
@@ -100,15 +96,10 @@ pub struct WindowPlan {
     pub total_instructions: u64,
     /// Windows in canonical (trace) order.
     pub windows: Vec<PlannedWindow>,
-    /// Warm policy every window applies.
-    pub warm: WarmPolicy,
 }
 
 impl WindowPlan {
-    /// Derives the window schedule for a `total`-instruction trace
-    /// under [`WarmPolicy::MirrorSerial`] — the fidelity-preserving
-    /// default (see the module docs for why both truncated reaches and
-    /// unconditional full-prefix warming fail the 2% gate).
+    /// Derives the window schedule for a `total`-instruction trace.
     ///
     /// The detailed-interior positions mirror the serial cursor walk:
     /// an initial warm-up region of `total * warmup_fraction` is never
@@ -126,27 +117,6 @@ impl WindowPlan {
         total: u64,
         schedule: SampleSchedule,
         warmup_fraction: f64,
-    ) -> Option<WindowPlan> {
-        Self::with_warm_reach(total, schedule, warmup_fraction, None)
-    }
-
-    /// [`WindowPlan::for_trace`] with an explicit warm-reach policy.
-    ///
-    /// `Some(reach)` plans [`WarmPolicy::BoundedReach`]: a window's
-    /// warmup starts `warmup_len + reach` before its interior
-    /// (half-warmup for the first window, like the serial schedule),
-    /// clamped at instruction 0 via saturating arithmetic, and the
-    /// skipped prefix goes through the source's O(1) skip path.
-    /// Per-window cost becomes independent of trace position, at a
-    /// measured fidelity cost that grows with trace length — for
-    /// throughput screening, not publication-grade numbers. `None`
-    /// plans [`WarmPolicy::MirrorSerial`], the only policy that holds
-    /// the 2% fidelity gate on long traces.
-    pub fn with_warm_reach(
-        total: u64,
-        schedule: SampleSchedule,
-        warmup_fraction: f64,
-        reach: Option<u64>,
     ) -> Option<WindowPlan> {
         let SampleSchedule::Periodic {
             period,
@@ -177,13 +147,8 @@ impl WindowPlan {
             if detailed_start >= total {
                 break;
             }
-            let warm_start = match reach {
-                None => 0,
-                Some(r) => detailed_start.saturating_sub(warm_want.saturating_add(r)),
-            };
             windows.push(PlannedWindow {
                 index: windows.len(),
-                warm_start,
                 detailed_start,
                 detailed_len: detailed_len.min(total - detailed_start),
             });
@@ -195,18 +160,15 @@ impl WindowPlan {
         Some(WindowPlan {
             total_instructions: total,
             windows,
-            warm: match reach {
-                None => WarmPolicy::MirrorSerial,
-                Some(_) => WarmPolicy::BoundedReach,
-            },
         })
     }
 }
 
-/// Everything one window's worker hands back to the reducer: the
-/// measured sample plus every additive statistic the report carries.
-/// Plain counters only — `Send` across the worker channel, merged in
+/// Everything one window hands back to the reducer: the measured
+/// sample plus every additive statistic the report carries. Plain
+/// counters only — `Send` across the result channel, merged in
 /// canonical window order.
+#[derive(Clone)]
 struct WindowOutcome {
     sample: Option<WindowSample>,
     l1i: CacheStats,
@@ -219,8 +181,8 @@ struct WindowOutcome {
     context_switches: u64,
     warmed: u64,
     fastforwarded: u64,
-    t_ff: f64,
-    t_warm: f64,
+    /// Host seconds this window spent in its detailed interior
+    /// (diagnostics only; the spine's warm time is reported once).
     t_detail: f64,
     acic: Option<AcicStats>,
     cshr: Option<CshrStats>,
@@ -250,45 +212,57 @@ fn finish_window(state: WindowCheckpoint<'_>, sample: Option<WindowSample>) -> W
         context_switches: state.context_switches,
         warmed: state.warmed,
         fastforwarded: state.fastforwarded,
-        t_ff: state.t_ff,
-        t_warm: state.t_warm,
         t_detail: state.t_detail,
         acic,
         cshr,
     }
 }
 
-/// Runs one planned window under [`WarmPolicy::MirrorSerial`]: a
-/// private fresh checkpoint replays the serial schedule's phase
-/// structure from instruction 0 — initial warmup, then per period the
-/// same convergence-gated fast-forward-or-warm and warmup segments as
-/// [`Engine::run`] — with every interior before this window's demoted
-/// from detailed to functional warmup, and this window's run at
-/// detailed fidelity. This function is the unit of determinism: it
-/// depends only on `(cfg, workload, window, oracle)`, never on which
-/// worker runs it or what ran before it.
+impl<'o> WindowCheckpoint<'o> {
+    /// A deep copy of the spine for one window. The phase timers
+    /// restart at zero so the spine's warm time is not counted once
+    /// per window.
+    fn fork(&self) -> WindowCheckpoint<'o> {
+        let mut fork = self.clone();
+        fork.t_ff = 0.0;
+        fork.t_warm = 0.0;
+        fork.t_detail = 0.0;
+        fork
+    }
+}
+
+/// Walks the spine: the serial schedule's phase structure from
+/// instruction 0 — initial warmup, then per period the same
+/// convergence-gated fast-forward-or-warm and warmup segments as
+/// [`Engine::run`] — with every interior warmed instead of measured.
+/// `on_interior` sees the spine at the start of each planned interior
+/// reached, in window order; the walk stops once the last planned
+/// window has been handed out. Returns the spine and the number of
+/// windows handed out (fewer than planned only when the trace ends
+/// first).
 ///
 /// The convergence gate sees warm traffic where the serial engine saw
-/// detailed traffic for prior interiors (22k instructions against a
+/// detailed traffic for interiors (22k instructions against a
 /// ~700k-instruction period), a deliberate approximation: gate
 /// decisions shift serial-vs-windowed fidelity, never worker-count
-/// determinism, because the replay is identical for every worker.
-fn run_window_mirror<W: TraceSource>(
+/// determinism, because the walk is the same for every worker count.
+fn walk_spine<'o, W: TraceSource>(
     cfg: &SimConfig,
     workload: &W,
-    w: &PlannedWindow,
-    total: u64,
-    oracle: Option<&ReuseOracle>,
+    plan: &WindowPlan,
+    oracle: Option<&'o ReuseOracle>,
     timing_loop: TimingLoop,
-) -> WindowOutcome {
+    mut on_interior: impl FnMut(&PlannedWindow, &WindowCheckpoint<'o>),
+) -> (WindowCheckpoint<'o>, usize) {
     let SampleSchedule::Periodic {
         period,
         warmup_len,
         detailed_len,
     } = cfg.schedule
     else {
-        unreachable!("mirror windows exist only for periodic schedules");
+        unreachable!("window plans exist only for periodic schedules");
     };
+    let total = plan.total_instructions;
     let mut state = WindowCheckpoint::fresh(cfg, workload.seed(), total, timing_loop);
     state.cursor = oracle.map(|o| o.cursor());
     let mut runs = GroupedRuns::new(workload.iter());
@@ -299,8 +273,7 @@ fn run_window_mirror<W: TraceSource>(
     let mut converged = false;
     let mut last_l3_fills = state.mem.warm_l3_fills;
     let mut last_warmed = state.warmed;
-    let mut sample = None;
-    let mut window_index = 0usize;
+    let mut forked = 0usize;
     while !state.trace_over && state.consumed < total {
         let remaining = total - state.consumed;
         let (ff_want, warmup) = if first_period {
@@ -322,22 +295,24 @@ fn run_window_mirror<W: TraceSource>(
         if state.trace_over {
             break;
         }
-        if window_index == w.index {
-            // Warmup segments consume whole block runs, so the walk
-            // lands at or a few instructions past the plan's idealized
-            // arithmetic — never before it, and never a period away
-            // (that would mean this replay measures the wrong window).
-            debug_assert!(
-                state.consumed >= w.detailed_start && state.consumed - w.detailed_start < period,
-                "replay drifted from the plan: consumed {} vs planned start {}",
-                state.consumed,
-                w.detailed_start
-            );
-            sample = state.segment(Phase::Detailed, &mut runs, w.detailed_len, cfg, W::skip);
+        let w = &plan.windows[forked];
+        // Warmup segments consume whole block runs, so the walk lands
+        // at or a few instructions past the plan's idealized
+        // arithmetic — never before it, and never a period away (that
+        // would mean the fork measures the wrong window).
+        debug_assert!(
+            state.consumed >= w.detailed_start && state.consumed - w.detailed_start < period,
+            "spine drifted from the plan: consumed {} vs planned start {}",
+            state.consumed,
+            w.detailed_start
+        );
+        on_interior(w, &state);
+        forked += 1;
+        if forked == plan.windows.len() {
             break;
         }
-        // A prior window's interior: warmed, not measured — deep state
-        // keeps evolving as in the serial walk.
+        // The interior itself: warmed, not measured — deep state keeps
+        // evolving as in the serial walk.
         state.segment(
             Phase::Warmup,
             &mut runs,
@@ -345,63 +320,44 @@ fn run_window_mirror<W: TraceSource>(
             cfg,
             W::skip,
         );
-        window_index += 1;
         let fills = state.mem.warm_l3_fills - last_l3_fills;
         let warmed = state.warmed - last_warmed;
         last_l3_fills = state.mem.warm_l3_fills;
         last_warmed = state.warmed;
         converged = warmed > 0 && fills * 1_000_000 < warmed * super::L3_CONVERGED_FILLS_PER_MI;
     }
-    finish_window(state, sample)
+    (state, forked)
 }
 
-/// Runs one planned window under [`WarmPolicy::BoundedReach`]: skip
-/// straight to `warm_start` via the source's zero-copy O(1) skip path,
-/// warm the bounded reach, measure the interior. Deterministic for the
-/// same reason as [`run_window_mirror`].
-fn run_window_bounded<W: TraceSource>(
+/// Runs one forked window's detailed interior on a fresh trace pass
+/// positioned where the spine stood when it forked.
+fn run_fork<W: TraceSource>(
     cfg: &SimConfig,
     workload: &W,
     w: &PlannedWindow,
-    total: u64,
-    oracle: Option<&ReuseOracle>,
-    cursor_starts: Option<&[u64]>,
-    timing_loop: TimingLoop,
+    mut fork: WindowCheckpoint<'_>,
 ) -> WindowOutcome {
-    let mut state = WindowCheckpoint::fresh(cfg, workload.seed(), total, timing_loop);
-    if let (Some(o), Some(starts)) = (oracle, cursor_starts) {
-        state.cursor = Some(o.cursor_at(starts[w.index]));
-    }
-    let mut runs = GroupedRuns::new(workload.iter());
-    let skipped = runs.skip_instrs_with(w.warm_start, W::skip);
-    state.consumed += skipped;
-    state.fastforwarded += skipped;
-    if skipped < w.warm_start {
-        state.trace_over = true;
-    }
-    if !state.trace_over {
-        state.segment(
-            Phase::Warmup,
-            &mut runs,
-            w.detailed_start - w.warm_start,
-            cfg,
-            W::skip,
-        );
-    }
-    let sample = if state.trace_over {
-        None
-    } else {
-        state.segment(Phase::Detailed, &mut runs, w.detailed_len, cfg, W::skip)
-    };
-    finish_window(state, sample)
+    let mut iter = workload.iter();
+    let skipped = W::skip(&mut iter, fork.consumed);
+    debug_assert_eq!(skipped, fork.consumed, "fork positioned past end of trace");
+    let mut runs = GroupedRuns::new(iter);
+    let sample = fork.segment(Phase::Detailed, &mut runs, w.detailed_len, cfg, W::skip);
+    finish_window(fork, sample)
 }
 
 /// Pools per-window outcomes — in canonical window order — into one
 /// [`SimReport`], using the same [`super::pool_windows`] estimators as
 /// the serial schedule. The reduction is a fold over an index-ordered
 /// slice of pure counters, so it is deterministic regardless of which
-/// worker produced which outcome when.
-fn reduce(cfg: &SimConfig, app: &str, plan: &WindowPlan, outcomes: &[WindowOutcome]) -> SimReport {
+/// thread produced which outcome when. `spine_times` is the walk's
+/// `(fast-forward, warm)` host time, for the phase-times diagnostic.
+fn reduce(
+    cfg: &SimConfig,
+    app: &str,
+    plan: &WindowPlan,
+    outcomes: &[WindowOutcome],
+    spine_times: (f64, f64),
+) -> SimReport {
     let windows: Vec<WindowSample> = outcomes.iter().filter_map(|o| o.sample).collect();
     let mut l1i = CacheStats::default();
     let mut l1d = CacheStats::default();
@@ -447,12 +403,12 @@ fn reduce(cfg: &SimConfig, app: &str, plan: &WindowPlan, outcomes: &[WindowOutco
         }
     }
     if std::env::var_os("ACIC_PHASE_TIMES").is_some() {
-        let (t_ff, t_warm, t_detail) = outcomes.iter().fold((0.0, 0.0, 0.0), |acc, o| {
-            (acc.0 + o.t_ff, acc.1 + o.t_warm, acc.2 + o.t_detail)
-        });
+        let (t_ff, t_warm) = spine_times;
+        let t_detail: f64 = outcomes.iter().map(|o| o.t_detail).sum();
         eprintln!(
-            "window-parallel phase times (cpu-summed): ff={t_ff:.3}s warm={t_warm:.3}s \
-             detailed={t_detail:.3}s (ff {fastforwarded} instrs, warmed {warmed}, windows {})",
+            "window-parallel phase times: spine ff={t_ff:.3}s warm={t_warm:.3}s, \
+             forks detailed={t_detail:.3}s cpu-summed (ff {fastforwarded} instrs, \
+             warmed {warmed}, windows {})",
             windows.len()
         );
     }
@@ -474,8 +430,8 @@ fn reduce(cfg: &SimConfig, app: &str, plan: &WindowPlan, outcomes: &[WindowOutco
         acic,
         cshr,
         // Lifetime instrumentation needs one unbounded CSHR observing
-        // the whole trace; per-window instances cannot pool it. The
-        // field is None in windowed mode for every worker count.
+        // the whole trace; per-window forks cannot pool it. The field
+        // is None in windowed mode for every worker count.
         cshr_lifetimes: None,
         sampled: Some(stats),
         window_ipc,
@@ -484,9 +440,10 @@ fn reduce(cfg: &SimConfig, app: &str, plan: &WindowPlan, outcomes: &[WindowOutco
 }
 
 impl Engine {
-    /// Runs `workload` under `cfg` with the window-parallel schedule,
-    /// fanning detailed windows across `workers` threads (0 and 1 both
-    /// mean in-order execution on the calling thread — of the *same*
+    /// Runs `workload` under `cfg` with the window-parallel schedule:
+    /// one serial warm pass forks every detailed window, and the forks
+    /// run on `workers − 1` helper threads beside it (0 and 1 both
+    /// mean every fork runs inline on the calling thread — the *same*
     /// per-window computation, which is what makes worker count
     /// unobservable in the output).
     ///
@@ -497,10 +454,10 @@ impl Engine {
     /// # Determinism
     ///
     /// The returned report is bit-identical for every `workers` value:
-    /// the plan is derived before any window runs, each window's
-    /// computation depends only on the plan entry (fresh checkpoint,
-    /// private trace pass, pre-seeked oracle cursor), and the reducer
-    /// folds outcomes in canonical window order.
+    /// the plan is derived before any window runs, the warm pass is
+    /// one serial walk, each window's detailed segment depends only on
+    /// the checkpoint forked for it, and the reducer folds outcomes in
+    /// canonical window order.
     ///
     /// # Panics
     ///
@@ -511,7 +468,7 @@ impl Engine {
         workload: &W,
         workers: usize,
     ) -> SimReport {
-        Self::run_windowed_inner(cfg, workload, workers, None, TimingLoop::from_env())
+        Self::run_windowed_with_loop(cfg, workload, workers, TimingLoop::from_env())
     }
 
     /// [`Engine::run_windowed`] with an explicit [`TimingLoop`]
@@ -523,158 +480,83 @@ impl Engine {
         workers: usize,
         timing_loop: TimingLoop,
     ) -> SimReport {
-        Self::run_windowed_inner(cfg, workload, workers, None, timing_loop)
-    }
-
-    /// [`Engine::run_windowed`] with a caller-supplied [`WindowPlan`]
-    /// — e.g. a bounded-reach plan from
-    /// [`WindowPlan::with_warm_reach`]. The plan's
-    /// `total_instructions` must match the workload's actual length
-    /// (the pooled estimators extrapolate to it).
-    ///
-    /// The worker-count determinism guarantee is unchanged: it holds
-    /// for *any* fixed plan, because each window still runs on a
-    /// private fresh checkpoint and the reducer folds in canonical
-    /// window order.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an inconsistent schedule, a plan/trace length
-    /// mismatch, or a worker thread panic.
-    pub fn run_windowed_with<W: TraceSource + Sync>(
-        cfg: &SimConfig,
-        workload: &W,
-        workers: usize,
-        plan: &WindowPlan,
-    ) -> SimReport {
-        Self::run_windowed_inner(cfg, workload, workers, Some(plan), TimingLoop::from_env())
-    }
-
-    fn run_windowed_inner<W: TraceSource + Sync>(
-        cfg: &SimConfig,
-        workload: &W,
-        workers: usize,
-        custom_plan: Option<&WindowPlan>,
-        timing_loop: TimingLoop,
-    ) -> SimReport {
         cfg.schedule.validate();
-        let needs_oracle = cfg.icache_org.needs_oracle() || cfg.attach_oracle;
-        // Oracle organizations walk the trace here anyway; record run
-        // lengths so window warm-starts map to cursor positions below.
-        let (oracle, run_lens, total) = if needs_oracle {
-            let mut seq = Vec::new();
-            let mut lens: Vec<u32> = Vec::new();
-            let mut total = 0u64;
-            workload.for_each_run(|r| {
-                seq.push(r.oracle_key());
-                lens.push(r.len);
-                total += r.len as u64;
-            });
-            (Some(ReuseOracle::from_sequence(&seq)), lens, total)
-        } else {
-            let total = workload
-                .len_hint()
-                .unwrap_or_else(|| workload.iter().count() as u64);
-            (None, Vec::new(), total)
+        let (oracle, total) = super::oracle_pre_pass(cfg, workload);
+        let Some(plan) = WindowPlan::for_trace(total, cfg.schedule, cfg.warmup_fraction) else {
+            return Engine::run_with_loop(cfg, workload, timing_loop);
         };
-
-        let plan: WindowPlan = match custom_plan {
-            Some(p) => {
-                assert_eq!(
-                    p.total_instructions, total,
-                    "window plan must cover the workload's actual length"
-                );
-                p.clone()
-            }
-            None => match WindowPlan::for_trace(total, cfg.schedule, cfg.warmup_fraction) {
-                Some(p) => p,
-                None => return Engine::run_with_loop(cfg, workload, timing_loop),
-            },
-        };
-
-        // Bounded-reach windows skip their prefix, so a pre-seeked
-        // oracle cursor needs, for each window, the index of the block
-        // run containing its warm start. Warm starts are nondecreasing,
-        // so one pass suffices; a mid-run warm start is exact because
-        // the truncated remainder of that run still groups as a single
-        // run after the skip, so cursor advances stay one-per-run from
-        // there on. (Mirror windows replay from instruction 0 and need
-        // no seeking.)
-        let cursor_starts: Option<Vec<u64>> = oracle
-            .as_ref()
-            .filter(|_| plan.warm == WarmPolicy::BoundedReach)
-            .map(|_| {
-                let mut starts = vec![0u64; plan.windows.len()];
-                let mut widx = 0usize;
-                let mut cum = 0u64;
-                for (ridx, &len) in run_lens.iter().enumerate() {
-                    cum += len as u64;
-                    while widx < plan.windows.len() && plan.windows[widx].warm_start < cum {
-                        starts[widx] = ridx as u64;
-                        widx += 1;
-                    }
-                    if widx == plan.windows.len() {
-                        break;
-                    }
-                }
-                starts
-            });
-
         let n = plan.windows.len();
-        let run_one = |w: &PlannedWindow| match plan.warm {
-            WarmPolicy::MirrorSerial => {
-                run_window_mirror(cfg, workload, w, total, oracle.as_ref(), timing_loop)
-            }
-            WarmPolicy::BoundedReach => run_window_bounded(
+        let mut slots: Vec<Option<WindowOutcome>> = (0..n).map(|_| None).collect();
+        let (spine, forked) = if workers <= 1 {
+            walk_spine(
                 cfg,
                 workload,
-                w,
-                total,
+                &plan,
                 oracle.as_ref(),
-                cursor_starts.as_deref(),
                 timing_loop,
-            ),
-        };
-        let outcomes: Vec<WindowOutcome> = if workers <= 1 {
-            plan.windows.iter().map(run_one).collect()
+                |w, spine| slots[w.index] = Some(run_fork(cfg, workload, w, spine.fork())),
+            )
         } else {
-            let next = AtomicUsize::new(0);
-            let mut slots: Vec<Option<WindowOutcome>> = (0..n).map(|_| None).collect();
-            let (tx, rx) = mpsc::channel::<(usize, WindowOutcome)>();
-            let run_one = &run_one;
-            let plan_ref = &plan;
+            let helpers = (workers - 1).min(n);
+            let (job_tx, job_rx) = mpsc::channel::<(usize, WindowCheckpoint<'_>)>();
+            let job_rx = Mutex::new(job_rx);
+            // One token per helper: the spine copies a fork only after
+            // taking a token, and a helper returns its token once its
+            // fork is finished and dropped — so at most `helpers` forks
+            // plus the spine are alive at once.
+            let (free_tx, free_rx) = mpsc::channel::<()>();
+            let (done_tx, done_rx) = mpsc::channel::<(usize, WindowOutcome)>();
+            let plan = &plan;
             std::thread::scope(|scope| {
-                for _ in 0..workers.min(n) {
-                    let tx = tx.clone();
-                    let next = &next;
+                for _ in 0..helpers {
+                    let job_rx = &job_rx;
+                    let free_tx = free_tx.clone();
+                    let done_tx = done_tx.clone();
+                    free_tx.send(()).expect("token receiver is alive");
                     scope.spawn(move || loop {
-                        // Hand out windows longest-first (cost grows
-                        // with detailed_start under full-prefix
-                        // warming): classic LPT keeps the deep tail
-                        // windows from straggling. Execution order is
-                        // unobservable — outcomes land in index slots.
-                        let k = next.fetch_add(1, Ordering::Relaxed);
-                        if k >= n {
+                        let job = job_rx.lock().expect("job queue lock").recv();
+                        let Ok((k, fork)) = job else {
                             break;
-                        }
-                        let i = n - 1 - k;
-                        let out = run_one(&plan_ref.windows[i]);
-                        if tx.send((i, out)).is_err() {
+                        };
+                        let out = run_fork(cfg, workload, &plan.windows[k], fork);
+                        if done_tx.send((k, out)).is_err() || free_tx.send(()).is_err() {
                             break;
                         }
                     });
                 }
-                drop(tx);
-                for (i, out) in rx {
-                    slots[i] = Some(out);
+                drop((free_tx, done_tx));
+                let walked = walk_spine(
+                    cfg,
+                    workload,
+                    plan,
+                    oracle.as_ref(),
+                    timing_loop,
+                    |w, spine| {
+                        free_rx.recv().expect("a window helper thread panicked");
+                        job_tx
+                            .send((w.index, spine.fork()))
+                            .expect("job queue is open");
+                    },
+                );
+                drop(job_tx);
+                for (k, out) in done_rx {
+                    slots[k] = Some(out);
                 }
-            });
-            slots
-                .into_iter()
-                .map(|s| s.expect("every window delivered exactly once"))
-                .collect()
+                walked
+            })
         };
-        reduce(cfg, workload.name(), &plan, &outcomes)
+        let spine_times = (spine.t_ff, spine.t_warm);
+        // Windows the walk never reached see the spine's final state,
+        // exactly where their own replay would have stopped.
+        let unreached = (forked < n).then(|| finish_window(spine, None));
+        let outcomes: Vec<WindowOutcome> = slots
+            .into_iter()
+            .map(|s| {
+                s.or_else(|| unreached.clone())
+                    .expect("every window delivered exactly once")
+            })
+            .collect();
+        reduce(cfg, workload.name(), &plan, &outcomes, spine_times)
     }
 }
 
@@ -725,7 +607,6 @@ mod tests {
         for w in &plan.windows {
             assert_eq!(w.detailed_len, 22_000);
             assert!(w.detailed_start + w.detailed_len <= 20_000_000);
-            assert_eq!(w.warm_start, 0, "default plans warm the full prefix");
         }
     }
 
@@ -740,7 +621,6 @@ mod tests {
                 WindowPlan::for_trace(total, periodic(period, warm, det), frac).expect("plannable");
             let mut prev_end = 0u64;
             for w in &plan.windows {
-                assert!(w.warm_start <= w.detailed_start, "warmup precedes interior");
                 assert!(w.detailed_start >= prev_end, "interiors are disjoint");
                 assert!(w.detailed_len > 0);
                 assert!(w.detailed_start + w.detailed_len <= total);
@@ -755,44 +635,13 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_clamps_at_instruction_zero() {
-        // Bounded reach, no initial warmup region, early first
-        // interior: a 2M reach would start before instruction 0 and
-        // must clamp (saturate), not wrap.
-        let plan = WindowPlan::with_warm_reach(
-            1_000_000,
-            periodic(100_000, 20_000, 10_000),
-            0.0,
-            Some(2_000_000),
-        )
-        .expect("plannable");
-        assert_eq!(plan.windows[0].detailed_start, 45_000);
-        assert_eq!(plan.windows[0].warm_start, 0);
-    }
-
-    #[test]
-    fn bounded_reach_positions_warm_starts_behind_interiors() {
-        // Deep in the trace the reach no longer clamps: each warmup
-        // starts exactly `warmup_len + reach` before its interior.
-        let plan = WindowPlan::with_warm_reach(
-            1_000_000,
-            periodic(100_000, 20_000, 10_000),
-            0.0,
-            Some(50_000),
-        )
-        .expect("plannable");
-        let w = &plan.windows[3];
-        assert_eq!(w.warm_start, w.detailed_start - 20_000 - 50_000);
-        // An unbounded reach over the same schedule differs only in
-        // warm starts.
-        let full =
+    fn first_interior_sits_half_a_period_in() {
+        // No initial warmup region: the first interior starts after
+        // half a fast-forward and half a warmup (40k/2 + 20k/2).
+        let plan =
             WindowPlan::for_trace(1_000_000, periodic(100_000, 20_000, 10_000), 0.0).unwrap();
-        assert_eq!(full.windows.len(), plan.windows.len());
-        for (a, b) in full.windows.iter().zip(&plan.windows) {
-            assert_eq!(a.detailed_start, b.detailed_start);
-            assert_eq!(a.detailed_len, b.detailed_len);
-            assert_eq!(a.warm_start, 0);
-        }
+        assert_eq!(plan.windows[0].detailed_start, 45_000);
+        assert_eq!(plan.windows[1].detailed_start, 145_000);
     }
 
     #[test]
@@ -821,6 +670,203 @@ mod tests {
         // Every interior fits wholly inside the trace; the clamp never
         // plans an empty window.
         assert!(plan.windows.iter().all(|w| w.detailed_len > 0));
+    }
+}
+
+/// The spine pinned against the per-window replay it replaces.
+#[cfg(test)]
+mod spine_tests {
+    use super::*;
+    use crate::icache::IcacheOrg;
+    use acic_trace::{InterleavedTrace, PackedTrace};
+    use acic_workloads::{AppProfile, MultiTenantWorkload, SyntheticWorkload};
+
+    /// The reference definition of one window: a private fresh
+    /// checkpoint replays the serial schedule's phase structure from
+    /// instruction 0 — initial warmup, then per period the same
+    /// convergence-gated fast-forward-or-warm and warmup segments as
+    /// [`Engine::run`] — with every interior before this window's
+    /// demoted from detailed to functional warmup, and this window's
+    /// run at detailed fidelity. Costs the whole prefix per window;
+    /// the spine must reproduce it bit for bit.
+    fn run_window_mirror<W: TraceSource>(
+        cfg: &SimConfig,
+        workload: &W,
+        w: &PlannedWindow,
+        total: u64,
+        oracle: Option<&ReuseOracle>,
+        timing_loop: TimingLoop,
+    ) -> WindowOutcome {
+        let SampleSchedule::Periodic {
+            period,
+            warmup_len,
+            detailed_len,
+        } = cfg.schedule
+        else {
+            unreachable!("mirror windows exist only for periodic schedules");
+        };
+        let mut state = WindowCheckpoint::fresh(cfg, workload.seed(), total, timing_loop);
+        state.cursor = oracle.map(|o| o.cursor());
+        let mut runs = GroupedRuns::new(workload.iter());
+        let initial_warmup = (total as f64 * cfg.warmup_fraction) as u64;
+        state.segment(Phase::Warmup, &mut runs, initial_warmup, cfg, W::skip);
+        let ff_len = period - warmup_len - detailed_len;
+        let mut first_period = true;
+        let mut converged = false;
+        let mut last_l3_fills = state.mem.warm_l3_fills;
+        let mut last_warmed = state.warmed;
+        let mut sample = None;
+        let mut window_index = 0usize;
+        while !state.trace_over && state.consumed < total {
+            let remaining = total - state.consumed;
+            let (ff_want, warmup) = if first_period {
+                first_period = false;
+                (ff_len / 2, warmup_len / 2)
+            } else {
+                (ff_len, warmup_len)
+            };
+            let ff = ff_want.min(remaining.saturating_sub(warmup + detailed_len));
+            if converged && ff > 0 {
+                state.segment(Phase::FastForward, &mut runs, ff, cfg, W::skip);
+                if state.trace_over {
+                    break;
+                }
+                state.segment(Phase::Warmup, &mut runs, warmup, cfg, W::skip);
+            } else {
+                state.segment(Phase::Warmup, &mut runs, ff + warmup, cfg, W::skip);
+            }
+            if state.trace_over {
+                break;
+            }
+            if window_index == w.index {
+                sample = state.segment(Phase::Detailed, &mut runs, w.detailed_len, cfg, W::skip);
+                break;
+            }
+            state.segment(
+                Phase::Warmup,
+                &mut runs,
+                detailed_len.min(total - state.consumed),
+                cfg,
+                W::skip,
+            );
+            window_index += 1;
+            let fills = state.mem.warm_l3_fills - last_l3_fills;
+            let warmed = state.warmed - last_warmed;
+            last_l3_fills = state.mem.warm_l3_fills;
+            last_warmed = state.warmed;
+            converged =
+                warmed > 0 && fills * 1_000_000 < warmed * super::super::L3_CONVERGED_FILLS_PER_MI;
+        }
+        finish_window(state, sample)
+    }
+
+    /// The windowed schedule computed window by window with
+    /// [`run_window_mirror`]: the reference report.
+    fn run_windowed_reference<W: TraceSource>(cfg: &SimConfig, workload: &W) -> SimReport {
+        let (oracle, total) = super::super::oracle_pre_pass(cfg, workload);
+        let plan = WindowPlan::for_trace(total, cfg.schedule, cfg.warmup_fraction)
+            .expect("reference runs need a plannable trace");
+        let outcomes: Vec<WindowOutcome> = plan
+            .windows
+            .iter()
+            .map(|w| {
+                run_window_mirror(
+                    cfg,
+                    workload,
+                    w,
+                    total,
+                    oracle.as_ref(),
+                    TimingLoop::EventHorizon,
+                )
+            })
+            .collect();
+        reduce(cfg, workload.name(), &plan, &outcomes, (0.0, 0.0))
+    }
+
+    fn sched() -> SampleSchedule {
+        SampleSchedule::Periodic {
+            period: 150_000,
+            warmup_len: 40_000,
+            detailed_len: 15_000,
+        }
+    }
+
+    /// Spine == reference at workers {1, 2, 7}, by full `Debug`
+    /// rendering (bit-level for every `f64` estimator).
+    fn pin<W: TraceSource + Sync>(cfg: &SimConfig, wl: &W, what: &str) -> SimReport {
+        let reference = run_windowed_reference(cfg, wl);
+        assert!(reference.sampled.is_some(), "{what}: sampled");
+        for workers in [1usize, 2, 7] {
+            let spine = Engine::run_windowed_with_loop(cfg, wl, workers, TimingLoop::EventHorizon);
+            assert_eq!(
+                format!("{reference:?}"),
+                format!("{spine:?}"),
+                "{what}: spine != per-window replay at {workers} workers"
+            );
+        }
+        reference
+    }
+
+    #[test]
+    fn spine_matches_replay_across_organizations() {
+        let wl = SyntheticWorkload::with_instructions(AppProfile::web_search(), 600_000);
+        for org in [
+            IcacheOrg::Lru,
+            IcacheOrg::LruFlush,
+            IcacheOrg::Srrip,
+            IcacheOrg::acic_default(),
+            IcacheOrg::Opt,
+        ] {
+            let cfg = SimConfig::default()
+                .with_org(org.clone())
+                .with_schedule(sched());
+            let r = pin(&cfg, &wl, org.label());
+            assert!(r.sampled.unwrap().windows >= 3, "{}", org.label());
+        }
+    }
+
+    #[test]
+    fn spine_matches_replay_on_a_packed_multi_tenant_interleave() {
+        // Three tenants, frozen: the O(1) `PackedTrace` skip positions
+        // each fork, and the interiors see tenant switches.
+        let wl: InterleavedTrace<_> = MultiTenantWorkload::new(5_000)
+            .suite_tenants(3, 200_000)
+            .build();
+        let packed = PackedTrace::from_source(&wl);
+        for org in [
+            IcacheOrg::LruFlush,
+            IcacheOrg::acic_default(),
+            IcacheOrg::Opt,
+        ] {
+            let cfg = SimConfig::default()
+                .with_org(org.clone())
+                .with_schedule(sched());
+            let r = pin(&cfg, &packed, org.label());
+            assert!(r.context_switches > 0, "{}: switches", org.label());
+        }
+    }
+
+    #[test]
+    fn spine_matches_replay_when_the_last_interior_truncates() {
+        // 180k instructions, no initial warmup, a 100k/20k/10k
+        // schedule: interiors at 45k and 145k, and the tail clamp puts
+        // the third at 175k with only 5k of its 10k budget left.
+        let schedule = SampleSchedule::Periodic {
+            period: 100_000,
+            warmup_len: 20_000,
+            detailed_len: 10_000,
+        };
+        let wl = SyntheticWorkload::with_instructions(AppProfile::sibench(), 180_000);
+        let plan = WindowPlan::for_trace(180_000, schedule, 0.0).unwrap();
+        let last = plan.windows.last().unwrap();
+        assert!(last.detailed_len < 10_000, "the last interior truncates");
+        for org in [IcacheOrg::Lru, IcacheOrg::Opt] {
+            let mut cfg = SimConfig::default()
+                .with_org(org.clone())
+                .with_schedule(schedule);
+            cfg.warmup_fraction = 0.0;
+            pin(&cfg, &wl, org.label());
+        }
     }
 }
 

@@ -74,7 +74,7 @@ impl Default for FtqEntry {
 /// reclaims space when the FTQ pops an entry (`release_to`). Capacity
 /// is a power of two and doubles on the cold overflow path, preserving
 /// every live position — steady-state pushes are allocation-free.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct InstrArena {
     buf: Vec<Instr>,
     mask: u64,
@@ -147,7 +147,7 @@ impl InstrArena {
 /// instruction arena its entries index into. Replaces the former
 /// `VecDeque<FtqEntry>`-of-`Vec<Instr>` shape — pushes and pops are
 /// allocation-free once the arena has warmed.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct Ftq {
     entries: Vec<FtqEntry>,
     head: usize,
@@ -277,6 +277,7 @@ struct ItpEntry {
 }
 
 /// The decoupled front end.
+#[derive(Clone)]
 pub struct FrontEnd {
     /// The Fetch Target Queue.
     pub ftq: Ftq,

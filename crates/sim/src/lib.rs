@@ -45,7 +45,7 @@ pub mod simulator;
 pub use branch::btb::Btb;
 pub use branch::tage::Tage;
 pub use config::{BranchSwitchMode, PrefetcherKind, SampleSchedule, SimConfig};
-pub use engine::window::{PlannedWindow, WarmPolicy, WindowPlan};
+pub use engine::window::{PlannedWindow, WindowPlan};
 pub use engine::{Engine, Phase, TimingLoop};
 pub use frontend::{FrontEnd, Ftq, FtqEntry, InstrArena};
 pub use functional::{run_functional, run_unbatched, FunctionalReport};

@@ -47,7 +47,7 @@ const EMPTY_IDENT: u64 = u64::MAX;
 /// assert!(m.full(50));
 /// assert!(!m.full(110)); // entry 1 completed
 /// ```
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct MissTracker {
     capacity: usize,
     /// Probe mask; table length is `mask + 1`.
@@ -282,6 +282,7 @@ impl LegacyMissTracker {
 }
 
 /// The shared hierarchy below L1i.
+#[derive(Clone)]
 pub struct MemoryHierarchy {
     l1d: SetAssocCache,
     l1d_mshr: MissTracker,

@@ -19,7 +19,7 @@ const DSTS_PER_ENTRY: usize = 2;
 const HISTORY_LEN: usize = 64;
 
 /// A prefetcher producing candidate blocks.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub enum Prefetcher {
     /// No prefetching.
     None,
@@ -77,7 +77,7 @@ struct EntangledEntry {
 /// earlier becomes the *source* entangled with the missing
 /// *destination*; later fetches of the source prefetch its
 /// destinations just in time.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct Entangling {
     history: VecDeque<(Cycle, TaggedBlock)>,
     table: Vec<EntangledEntry>,

@@ -120,15 +120,6 @@ impl<I: Iterator<Item = Instr>> Iterator for BlockRuns<I> {
     }
 }
 
-/// Collects the block-access sequence of a trace (one entry per run).
-///
-/// This is the sequence the oracle pre-pass indexes; position `i` in
-/// the returned vector is "access index `i`" everywhere else in the
-/// workspace.
-pub fn block_sequence<I: Iterator<Item = Instr>>(instrs: I) -> Vec<BlockAddr> {
-    BlockRuns::new(instrs).map(|r| r.block).collect()
-}
-
 /// A block run together with its instructions — the fetch-group unit
 /// the timing simulator's front end consumes.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -398,17 +389,6 @@ mod tests {
         assert_ne!(runs[0].tagged(), runs[1].tagged());
         assert_ne!(runs[0].oracle_key(), runs[1].oracle_key());
         assert_eq!(runs[0].oracle_key(), runs[0].block, "host key is bare");
-    }
-
-    #[test]
-    fn block_sequence_matches_runs() {
-        let instrs = seq_alu(20, 0);
-        let seq = block_sequence(instrs.iter().copied());
-        let runs: Vec<_> = BlockRuns::new(instrs.into_iter()).collect();
-        assert_eq!(seq.len(), runs.len());
-        for (b, r) in seq.iter().zip(&runs) {
-            assert_eq!(*b, r.block);
-        }
     }
 }
 

@@ -2,16 +2,19 @@
 //! unobservable in the output.
 //!
 //! `Engine::run_windowed` derives a `WindowPlan` before any window
-//! runs, executes every window on a private fresh checkpoint, and
-//! reduces outcomes in canonical window order — so running the plan on
-//! one worker *is* the serial execution of the windowed schedule, and
-//! any other worker count must pool bit-identical `SampledStats` and
-//! identical statistics blocks. These tests pin that across
-//! organizations (including the oracle-backed ones), multi-tenant
-//! interleaves, generator-backed, materialized, and
-//! `.acictrace`-replayed traces, and worker counts {1, 2, 7}.
+//! runs, walks one serial warm pass (the spine) that forks a
+//! checkpoint copy at every planned interior, runs each fork's
+//! detailed interior inline (one worker) or on helper threads, and
+//! reduces outcomes in canonical window order — so any worker count
+//! must pool bit-identical `SampledStats` and identical statistics
+//! blocks. These tests pin that across organizations (including the
+//! oracle-backed ones), multi-tenant interleaves, generator-backed,
+//! materialized, and `.acictrace`-replayed traces, and worker counts
+//! {1, 2, 7}. That the spine reproduces the per-window replay it
+//! replaced is pinned in `acic-sim` itself (`engine::window` unit
+//! tests), where the replay survives as a reference twin.
 
-use acic_sim::{Engine, IcacheOrg, SampleSchedule, SimConfig, SimReport, WindowPlan};
+use acic_sim::{Engine, IcacheOrg, SampleSchedule, SimConfig, SimReport};
 use acic_trace::{PackedTrace, TraceSource, VecTrace};
 use acic_workloads::{AppProfile, MultiTenantWorkload, SyntheticWorkload};
 
@@ -80,39 +83,13 @@ fn worker_count_is_unobservable_across_organizations() {
 
 #[test]
 fn oracle_cursor_handoff_is_deterministic() {
-    // OPT consults the reuse oracle; windowed mode hands each worker a
-    // cursor pre-seeked to its window's first block run. The handoff
-    // must be position-exact for every worker count.
+    // OPT consults the reuse oracle; every fork carries a copy of the
+    // spine's oracle cursor, positioned at its window's first block
+    // run with the spine's last-access map. The handoff must be
+    // position-exact for every worker count.
     let wl = SyntheticWorkload::with_instructions(AppProfile::sibench(), 500_000);
     let r = pin_worker_counts(&cfg(IcacheOrg::Opt), &wl, "opt");
     assert!(r.l1i.demand_misses > 0, "opt simulated real traffic");
-}
-
-#[test]
-fn bounded_reach_plans_stay_deterministic() {
-    // Bounded-reach plans (`WindowPlan::with_warm_reach`) exercise the
-    // paths a default full-prefix plan leaves trivial: a nonzero O(1)
-    // skip to each warm start and mid-trace oracle cursor seeks.
-    // Fidelity is explicitly out of scope for bounded reaches (module
-    // docs); worker-count determinism is not.
-    let wl = SyntheticWorkload::with_instructions(AppProfile::sibench(), 500_000);
-    let c = cfg(IcacheOrg::Opt);
-    let plan = WindowPlan::with_warm_reach(500_000, sched(), c.warmup_fraction, Some(60_000))
-        .expect("plannable");
-    assert!(
-        plan.windows.iter().skip(1).all(|w| w.warm_start > 0),
-        "bounded reach must leave real prefixes to skip"
-    );
-    let serial = Engine::run_windowed_with(&c, &wl, 1, &plan);
-    assert!(serial.sampled.is_some());
-    for workers in [2usize, 7] {
-        let parallel = Engine::run_windowed_with(&c, &wl, workers, &plan);
-        assert_identical(
-            &serial,
-            &parallel,
-            &format!("bounded reach @ {workers} workers"),
-        );
-    }
 }
 
 #[test]
